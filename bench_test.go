@@ -15,7 +15,6 @@ package nra
 //	Figure 8   → BenchmarkFig8Query3b_{a,b,c}
 //	Figure 9   → BenchmarkFig9Query3c_{a,b,c}
 //	(DESIGN)   → BenchmarkAblation*
-//	(parallel) → BenchmarkParallelism (serial vs P=2/4/8, docs/PARALLELISM.md)
 
 import (
 	"sync"
@@ -222,43 +221,9 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelism times the partitioned-parallel operators against
-// the serial ones (P = 1 vs 2/4/8) on the workload families; results are
-// tuple-for-tuple identical at every degree, so this measures pure
-// physical speedup. cmd/figures -parallel runs the same ablation at a
-// larger scale factor for EXPERIMENTS.md.
-func BenchmarkParallelism(b *testing.B) {
-	par := func(p int) core.Options {
-		opt := core.Optimized()
-		opt.Parallelism = p
-		return opt
-	}
-	configs := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"serial-p1", core.Optimized()},
-		{"parallel-p2", par(2)},
-		{"parallel-p4", par(4)},
-		{"parallel-p8", par(8)},
-	}
-	for _, fig := range []string{"fig4", "fig6", "fig8a"} {
-		q := analyzeLargest(b, fig)
-		for _, c := range configs {
-			b.Run(fig+"/"+c.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Execute(q, c.opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkTracing times the observability overhead: the fully optimized
 // configuration untraced versus with a per-query span tracer. Spans are
-// recorded at operator entry/exit and per-morsel claims only, so the
+// recorded at operator entry/exit and per reservation or spill only, so the
 // traced series must stay within a few percent of the untraced one
 // (cmd/figures -tracing runs the same ablation with verification).
 func BenchmarkTracing(b *testing.B) {

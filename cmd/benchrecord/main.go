@@ -8,7 +8,7 @@
 //	            [-threshold 0.20] [-sf 0.005] [-runs 1] [-seed 42]
 //
 // It executes the paper's figure suite (Figures 4–9 with variants) plus
-// the cost-based, parallelism, 2VL and vectorized ablations, and emits
+// the cost-based, 2VL and vectorized ablations, and emits
 // one JSON
 // record with per-query wall and modeled milliseconds for every series.
 // The regression gate compares *modeled* milliseconds — the
@@ -93,7 +93,6 @@ func main() {
 		run  func() ([]*bench.Figure, error)
 	}{
 		{"cost ablation", env.CostAblation},
-		{"parallel ablation", env.ParallelAblation},
 		{"2VL ablation", env.TwoVLAblation},
 		{"vectorized ablation", env.VecAblation},
 	} {

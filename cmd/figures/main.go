@@ -8,7 +8,7 @@
 // Usage:
 //
 //	figures [-sf 0.01] [-runs 3] [-seed 42] [-nulls 0] [-fig fig4,...]
-//	        [-ablation] [-parallel] [-costbased] [-twovl] [-vectorized]
+//	        [-ablation] [-costbased] [-twovl] [-vectorized]
 //	        [-tracing] [-trace]
 package main
 
@@ -29,7 +29,6 @@ func main() {
 		nulls    = flag.Float64("nulls", 0, "NULL fraction in measure columns")
 		only     = flag.String("fig", "", "comma-separated figure ids to run (default: all)")
 		ablation = flag.Bool("ablation", false, "also run the §4.2 ablation study")
-		parallel = flag.Bool("parallel", false, "also run the parallel-vs-serial ablation (serial / P=2 / P=4 / P=8)")
 		costb    = flag.Bool("costbased", false, "also run the cost-based vs heuristic planner ablation")
 		twovl    = flag.Bool("twovl", false, "also run the 2VL vs 3VL ablation (needs -nulls 0)")
 		vecf     = flag.Bool("vectorized", false, "also run the vectorized (batch-at-a-time) vs row ablation")
@@ -57,22 +56,13 @@ func main() {
 		}
 	}
 
-	if *ablation || *parallel || *costb || *twovl || *vecf || *trace || *tracing {
+	if *ablation || *costb || *twovl || *vecf || *trace || *tracing {
 		env, err := bench.NewEnv(cfg)
 		if err != nil {
 			fail(err)
 		}
 		if *ablation {
 			figs, err := env.Ablation()
-			if err != nil {
-				fail(err)
-			}
-			for _, f := range figs {
-				fmt.Println(f.Format())
-			}
-		}
-		if *parallel {
-			figs, err := env.ParallelAblation()
 			if err != nil {
 				fail(err)
 			}
@@ -192,12 +182,6 @@ func runSelected(cfg bench.Config, ids []string) error {
 			figs = append(figs, f)
 		case "ablation":
 			fs, err := env.Ablation()
-			if err != nil {
-				return err
-			}
-			figs = fs
-		case "parallelism":
-			fs, err := env.ParallelAblation()
 			if err != nil {
 				return err
 			}

@@ -2,15 +2,14 @@
 // clients over one shared database: an HTTP/JSON API and a newline-
 // delimited JSON line protocol (the surface nraql -connect speaks),
 // with sessions, a shared prepared-plan cache, and pooled admission
-// control (max-in-flight gate, bounded queue, shared memory pool,
-// bounded worker slots).
+// control (max-in-flight gate, bounded queue, shared memory pool).
 //
 // Usage:
 //
 //	nrad [-addr localhost:7432] [-line-addr localhost:7433]
 //	     [-dir data/] [-storage columnar|csv] [-tpch 0.001] [-seed 42] [-analyze]
 //	     [-max-inflight 16] [-queue-depth 64] [-queue-timeout 5s]
-//	     [-mem-pool 256M] [-workers 8] [-plan-cache 256]
+//	     [-mem-pool 256M] [-plan-cache 256]
 //	     [-debug-addr localhost:6060] [-slow-query 100ms] [-slow-log f]
 //	     [-drain-timeout 10s]
 //
@@ -41,6 +40,15 @@ import (
 	"nra/internal/service"
 )
 
+// HTTP connection limits. A client gets readHeaderTimeout to send a
+// request's headers, so a slow or stalled client cannot hold a
+// connection open; an idle keep-alive connection is closed after
+// idleTimeout. Request bodies are bounded by the service itself.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", "localhost:7432", "HTTP API listen address")
@@ -53,7 +61,6 @@ func main() {
 		queueD   = flag.Int("queue-depth", 0, "admission queue depth beyond max-inflight (0 = 4x max-inflight)")
 		queueT   = flag.Duration("queue-timeout", 5*time.Second, "max wait in the admission queue before rejection")
 		memPool  = flag.String("mem-pool", "", "shared memory pool for operator working state across all statements, e.g. 256M (empty = unbounded)")
-		workers  = flag.Int("workers", 0, "aggregate intra-query parallelism budget (0 = GOMAXPROCS)")
 		planC    = flag.Int("plan-cache", 256, "shared plan cache capacity in statements (negative = off)")
 		storage  = flag.String("storage", "columnar", "on-disk table format for saves/checkpoints: columnar or csv")
 		dbg      = flag.String("debug-addr", "", "serve the debug HTTP endpoint (expvar metrics + pprof) on this address (empty = off; bind to localhost)")
@@ -102,7 +109,6 @@ func main() {
 		QueueDepth:    *queueD,
 		QueueTimeout:  *queueT,
 		MemPoolBytes:  poolBytes,
-		Workers:       *workers,
 		PlanCacheSize: *planC,
 		CheckpointDir: *dir,
 		Registry:      obsv.Default(),
@@ -121,7 +127,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		if err := httpSrv.Serve(httpLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fail(err)

@@ -25,8 +25,7 @@
 //	select ...;                 run a query
 //	analyze [table];            collect optimizer statistics
 //	\strategy <name>            switch strategy (auto | nested-optimized |
-//	                            nested-original | nested-parallel |
-//	                            native | reference)
+//	                            nested-original | native | reference)
 //	\explain select ...;        show the plan instead of running
 //	\explain analyze select ..; run, then show estimated vs actual rows
 //	\waterfall select ...;      run traced, then draw the span waterfall
@@ -54,7 +53,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -90,7 +88,6 @@ var strategyNames = map[string]nra.Strategy{
 	"auto":             nra.Auto,
 	"nested-optimized": nra.NestedOptimized,
 	"nested-original":  nra.NestedOriginal,
-	"nested-parallel":  nra.NestedParallel,
 	"native":           nra.Native,
 	"reference":        nra.Reference,
 }
@@ -103,11 +100,10 @@ func main() {
 		file  = flag.String("f", "", "execute a ';'-separated SQL script and exit")
 		seed  = flag.Uint64("seed", 42, "TPC-H generator seed")
 		trace = flag.Bool("trace", false, "print the per-operator execution walkthrough")
-		par   = flag.Int("parallelism", -1, "degree of partitioned parallelism for nested strategies (1 = serial, 0 = all CPUs, -1 = strategy default)")
 		mem   = flag.String("mem", "", "memory budget for operator working state, e.g. 64K, 16M, 1G (empty = unbounded); over-budget operators spill to disk")
 		tmo   = flag.Duration("timeout", 0, "per-query timeout, e.g. 30s (0 = none)")
 		twoVL = flag.Bool("2vl", false, "evaluate under two-valued logic: NULL comparisons are FALSE; NOT IN / NOT EXISTS / ALL unnest to antijoins")
-		vect  = flag.Bool("vectorized", false, "execute the hot path batch-at-a-time (identical results; serial in-memory path only)")
+		vect  = flag.Bool("vectorized", false, "execute the hot path batch-at-a-time (identical results; in-memory path only)")
 		anlz  = flag.Bool("analyze", true, "collect optimizer statistics on the loaded tables at startup (enables cost-based planning)")
 		dbg   = flag.String("debug-addr", "", "serve the debug HTTP endpoint (expvar metrics + pprof) on this address, e.g. localhost:6060 (empty = off; bind to localhost only — see docs/OBSERVABILITY.md)")
 		slowQ = flag.Duration("slow-query", -1, "log queries at least this slow to the slow-query log (0 = every query, negative = off)")
@@ -127,13 +123,6 @@ func main() {
 	strategy, ok := strategyNames[*strat]
 	if !ok {
 		fail(fmt.Errorf("unknown strategy %q", *strat))
-	}
-	if *par >= 0 {
-		n := *par
-		if n == 0 {
-			n = runtime.NumCPU()
-		}
-		strategy = strategy.WithParallelism(n)
 	}
 	if *mem != "" {
 		bytes, err := parseBytes(*mem)
@@ -275,7 +264,7 @@ func main() {
 					strategy = s
 					fmt.Printf("strategy: %s\n", strategy)
 				} else {
-					fmt.Printf("unknown strategy %q (try: auto, nested-optimized, nested-original, nested-parallel, native, reference)\n", name)
+					fmt.Printf("unknown strategy %q (try: auto, nested-optimized, nested-original, native, reference)\n", name)
 				}
 			case strings.HasPrefix(trimmed, `\explain`):
 				src := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(trimmed, `\explain`)), ";")

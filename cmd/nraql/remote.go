@@ -12,8 +12,8 @@ import (
 
 // remoteMain is the -connect client: the same shell surface as the
 // local REPL, but every statement travels the line protocol to an nrad
-// server. Session state (strategy, 2VL, vectorized, parallelism,
-// timeout, pinned snapshot, prepared statements) lives server-side in
+// server. Session state (strategy, 2VL, vectorized, timeout, pinned
+// snapshot, prepared statements) lives server-side in
 // the connection's session.
 func remoteMain(addr, eval string) {
 	c, err := service.DialLine(addr)
@@ -104,7 +104,7 @@ func remoteCommand(c *service.LineClient, trimmed string) bool {
 	case strings.HasPrefix(trimmed, `\set`):
 		fields := strings.Fields(word(`\set`))
 		if len(fields) != 2 {
-			fmt.Println(`usage: \set <option> <value>   (strategy, timeout, 2vl, vectorized, parallelism)`)
+			fmt.Println(`usage: \set <option> <value>   (strategy, timeout, 2vl, vectorized)`)
 			break
 		}
 		show(c.Do(service.Request{Op: service.OpSet, Key: fields[0], Value: fields[1]}))

@@ -61,7 +61,7 @@ where o_orderdate >= '1992-01-01' and o_orderdate < '%s'
 
 // runAblation measures every configuration on every workload. The first
 // configuration's result is the reference; strictOrder additionally
-// demands the same tuple order (the parallel determinism guarantee),
+// demands the same tuple order (the batch engine's parity guarantee),
 // otherwise set equality suffices.
 func (e *Env) runAblation(workloads []ablationWorkload, configs []ablationConfig, strictOrder bool) ([]*Figure, error) {
 	var figs []*Figure
@@ -151,23 +151,15 @@ func (e *Env) Ablation() ([]*Figure, error) {
 // CostAblation measures cost-based physical planning against the pure
 // heuristic planner on the same workload families. "heuristic" switches
 // the estimator off; "costbased" runs with fresh statistics collected on
-// every table; the -p4 variants hand both planners four workers and let
-// the cost-based one decide whether the inputs justify them. All four
-// configurations must return the same result set.
+// every table. Both configurations must return the same result set.
 func (e *Env) CostAblation() ([]*Figure, error) {
 	e.Cat.AnalyzeAll()
 	heuristic := core.Optimized()
 	heuristic.UseStats = false
 	heuristic.CostBased = false
-	heuristicP4 := heuristic
-	heuristicP4.Parallelism = 4
-	costP4 := core.Optimized()
-	costP4.Parallelism = 4
 	configs := []ablationConfig{
 		{"heuristic", heuristic},
 		{"costbased", core.Optimized()},
-		{"heuristic-p4", heuristicP4},
-		{"costbased-p4", costP4},
 	}
 	return e.runAblation(e.ablationWorkloads("costbased", "cost-based vs heuristic"), configs, false)
 }
@@ -206,23 +198,4 @@ func (e *Env) VecAblation() ([]*Figure, error) {
 		{"vectorized", vectorized},
 	}
 	return e.runAblation(e.ablationWorkloads("vectorized", "batch vs row"), configs, true)
-}
-
-// ParallelAblation measures the partitioned-parallel operators against
-// the serial ones on the same workload families: serial (P=1) versus
-// P = 2, 4 and 8. Verification is tuple-for-tuple — parallel execution
-// must reproduce the serial output exactly, order included.
-func (e *Env) ParallelAblation() ([]*Figure, error) {
-	par := func(p int) core.Options {
-		opt := core.Optimized()
-		opt.Parallelism = p
-		return opt
-	}
-	configs := []ablationConfig{
-		{"serial-p1", core.Optimized()},
-		{"parallel-p2", par(2)},
-		{"parallel-p4", par(4)},
-		{"parallel-p8", par(8)},
-	}
-	return e.runAblation(e.ablationWorkloads("parallelism", "parallel vs serial"), configs, true)
 }

@@ -122,7 +122,7 @@ func TestCostAblationVerifies(t *testing.T) {
 	}
 	for _, f := range figs {
 		series := f.Series()
-		if len(series) != 4 {
+		if len(series) != 2 {
 			t.Fatalf("%s: series = %v", f.ID, series)
 		}
 	}

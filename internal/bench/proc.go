@@ -63,8 +63,8 @@ func (e *Env) ProcQ1() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		joined, err := algebra.LeftOuterJoin(ord, li,
-			expr.Compare(expr.Eq, expr.Col("l_orderkey"), expr.Col("o_orderkey")))
+		joined, err := exec.Join(exec.Background(), ord, li,
+			expr.Compare(expr.Eq, expr.Col("l_orderkey"), expr.Col("o_orderkey")), true)
 		if err != nil {
 			return nil, err
 		}
@@ -175,14 +175,14 @@ func (e *Env) ProcQ2() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		j1, err := algebra.LeftOuterJoin(part, ps,
-			expr.Compare(expr.Eq, expr.Col("ps_partkey"), expr.Col("p_partkey")))
+		j1, err := exec.Join(exec.Background(), part, ps,
+			expr.Compare(expr.Eq, expr.Col("ps_partkey"), expr.Col("p_partkey")), true)
 		if err != nil {
 			return nil, err
 		}
-		joined, err := algebra.LeftOuterJoin(j1, li, expr.And(
+		joined, err := exec.Join(exec.Background(), j1, li, expr.And(
 			expr.Compare(expr.Eq, expr.Col("ps_partkey"), expr.Col("l_partkey")),
-			expr.Compare(expr.Eq, expr.Col("ps_suppkey"), expr.Col("l_suppkey"))))
+			expr.Compare(expr.Eq, expr.Col("ps_suppkey"), expr.Col("l_suppkey"))), true)
 		if err != nil {
 			return nil, err
 		}

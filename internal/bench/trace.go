@@ -58,7 +58,8 @@ func (e *Env) TraceWaterfalls() ([]*TraceFigure, error) {
 // TracingAblation measures the overhead of span tracing: the fully
 // optimized configuration untraced versus with a per-query tracer. The
 // acceptance bar is ≤ 5% on these workloads (tracing records only
-// operator entry/exit and per-morsel claims, never per-tuple events).
+// operator entry/exit and per reservation or spill, never per-tuple
+// events).
 func (e *Env) TracingAblation() ([]*Figure, error) {
 	configs := []struct {
 		name string

@@ -69,9 +69,8 @@ type Options struct {
 	UseStats bool
 	// CostBased lets the cardinality estimates steer physical decisions:
 	// subquery processing order, the §4.2.5 semijoin and §4.2.4 push-down
-	// gates, the partitioned-parallel degree (1 when the input is too
-	// small to amortise the pool) and planned grace-join / external-sort
-	// spilling against MemoryBudget. No effect without UseStats and fresh
+	// gates and planned grace-join / external-sort spilling against
+	// MemoryBudget. No effect without UseStats and fresh
 	// statistics. Every choice is between result-equivalent plans.
 	CostBased bool
 	// Vectorized selects the batch-at-a-time operators (internal/vec)
@@ -80,9 +79,9 @@ type Options struct {
 	// selection driven by a typed sort and group-offset arrays. Results
 	// are byte-identical to the serial row operators — the row engine is
 	// the parity oracle, enforced by tests and the differential fuzzer.
-	// The batch operators apply only on the serial in-memory path: with
-	// Parallelism > 1, a MemoryBudget, or fault Hooks the planner keeps
-	// the row operators (batches neither partition nor spill), and any
+	// The batch operators apply only on the in-memory path: with a
+	// MemoryBudget, a MemPool, or fault Hooks the planner keeps the row
+	// operators (batches do not spill), and any
 	// operator whose shape has no batch kernel — nested inputs, non-equi
 	// join conditions, predicates the kernel compiler rejects — falls
 	// back to its row implementation per operator. EXPLAIN annotates
@@ -96,13 +95,6 @@ type Options struct {
 	// debugging, not for correctness. No effect on row execution or on
 	// catalogs without attached segments.
 	NoZoneMapPruning bool
-	// Parallelism is the degree of partitioned parallelism for the hash-
-	// join and nest/linking-selection pipeline: joins hash-partition build
-	// and probe across workers, and the fused nest + linking selection
-	// runs per nest-key partition (see docs/PARALLELISM.md). Values ≤ 1
-	// select the serial operators; results are byte-identical at every
-	// degree. exec.DefaultParallelism() is the hardware-sized default.
-	Parallelism int
 	// Meter, when non-nil, accumulates the plan's modeled disk accesses
 	// (sequential scan/write tuples; the nested relational approach never
 	// performs random accesses) — see internal/iomodel.
@@ -175,15 +167,6 @@ func Optimized() Options {
 		UseStats: true, CostBased: true}
 }
 
-// OptimizedParallel returns the fully optimized configuration with
-// partitioned parallelism at the hardware's degree
-// (exec.DefaultParallelism: NumCPU, overridable via NRA_PARALLELISM).
-func OptimizedParallel() Options {
-	opt := Optimized()
-	opt.Parallelism = exec.DefaultParallelism()
-	return opt
-}
-
 // ErrUnsupported reports a query shape the nested relational planner does
 // not handle (the reference evaluator still does).
 var ErrUnsupported = errors.New("core: unsupported query shape")
@@ -196,8 +179,8 @@ func unsupportedf(format string, args ...any) error {
 // The query runs under a per-query exec.ExecContext built from the
 // options' governance knobs (Ctx/Timeout/MemoryBudget/Hooks); whatever
 // the outcome — success, error, cancellation, panic-turned-error — the
-// context is closed before returning, which stops its goroutines and
-// removes any spill files it created.
+// context is closed before returning, which cancels it and removes any
+// spill files it created.
 func Execute(q *sql.Query, opt Options) (*relation.Relation, error) {
 	out, _, err := executeLogged(q, opt, nil)
 	return out, err

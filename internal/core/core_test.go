@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,4 +287,18 @@ func TestMultiTableSubqueryBlocks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameSequence checks tuple-for-tuple identity, order included — the
+// determinism guarantee is stronger than set equality.
+func sameSequence(got, want *relation.Relation) error {
+	if got.Len() != want.Len() {
+		return fmt.Errorf("%d tuples, want %d", got.Len(), want.Len())
+	}
+	for i := range want.Tuples {
+		if got.Tuples[i].Key() != want.Tuples[i].Key() {
+			return fmt.Errorf("tuple %d: got %v, want %v", i, got.Tuples[i], want.Tuples[i])
+		}
+	}
+	return nil
 }

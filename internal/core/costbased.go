@@ -16,8 +16,7 @@ import (
 // opt.Estimator and precomputes per-block and per-edge cardinality
 // estimates; Options.CostBased then lets those estimates steer the
 // physical decisions (subquery processing order, §4.2.5 semijoin and
-// §4.2.4 push-down gating, partitioned-parallel degree, planned
-// spilling). The estimator is all-or-nothing — one missing or stale
+// §4.2.4 push-down gating, planned spilling). The estimator is all-or-nothing — one missing or stale
 // table disables it — so a query without statistics plans exactly as the
 // heuristics always have (plan parity, verified by tests).
 
@@ -62,7 +61,7 @@ func (p *planner) buildEstimator() {
 
 // estimateQuery precomputes the per-block reduced cardinalities, the
 // per-edge join/link estimates, the peak operator input (for the
-// parallel-degree decision) and the planned-spill set.
+// external-sort decision) and the planned-spill set.
 func (p *planner) estimateQuery() {
 	if p.est == nil {
 		return
@@ -92,7 +91,6 @@ func (p *planner) estimateQuery() {
 	}
 	p.peakRows = p.card[p.q.Root.ID]
 	p.estimateChildren(p.q.Root, p.q.Root, p.card[p.q.Root.ID])
-	p.decideParallel()
 	p.decideSpills()
 }
 
@@ -202,20 +200,6 @@ func (p *planner) linkSelEstimate(edge *sql.LinkEdge, c *sql.Block, match, avg f
 		in.PTheta, in.HavePTheta = f, true
 	}
 	return opt.LinkSelectivity(in)
-}
-
-// decideParallel picks the effective partitioned-parallel degree from
-// the estimated peak operator input.
-func (p *planner) decideParallel() {
-	req := p.opt.Parallelism
-	if req <= 1 || !p.opt.CostBased {
-		return
-	}
-	if got := opt.ParallelDegree(req, p.peakRows); got != req {
-		p.planNotes = append(p.planNotes, fmt.Sprintf(
-			"parallel degree 1 (requested %d): est peak input %.0f rows < %d-row pool threshold",
-			req, p.peakRows, opt.MinParallelRows))
-	}
 }
 
 // decideSpills plans in-memory vs spilling execution against the memory

@@ -108,8 +108,7 @@ func TestCostBasedCorrectness(t *testing.T) {
 			t.Fatalf("reference %q: %v", src, err)
 		}
 		for name, opt := range map[string]Options{
-			"costbased":    Optimized(),
-			"costbased-p4": func() Options { o := Optimized(); o.Parallelism = 4; return o }(),
+			"costbased": Optimized(),
 			"costbased-budget": func() Options {
 				o := Optimized()
 				o.MemoryBudget = 1 << 10 // force planned + reactive spills
@@ -156,35 +155,6 @@ func TestStaleStatsFallBack(t *testing.T) {
 	}
 	if !strings.Contains(p2.statsNote, "absent or stale") {
 		t.Fatalf("statsNote = %q", p2.statsNote)
-	}
-}
-
-// TestParallelDegreeReduced: on inputs far below the partitioning
-// threshold the cost-based planner runs serially even when parallelism
-// was requested; the heuristic planner takes the request at face value.
-func TestParallelDegreeReduced(t *testing.T) {
-	cat := paperCatalog(t)
-	cat.AnalyzeAll()
-	q := analyze(t, cat, queryQ)
-
-	opt := Optimized()
-	opt.Parallelism = 4
-	p, err := newPlanner(q, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.par(); got != 1 {
-		t.Fatalf("cost-based degree on tiny input = %d, want 1", got)
-	}
-
-	heur := heuristicOptions()
-	heur.Parallelism = 4
-	ph, err := newPlanner(q, heur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ph.par(); got != 4 {
-		t.Fatalf("heuristic degree = %d, want the requested 4", got)
 	}
 }
 

@@ -54,11 +54,6 @@ func (p *planner) explainString() string {
 	if opt.NestPushdown {
 		b.WriteString("  nest pushed below equi-joins on the nesting attributes (§4.2.4)\n")
 	}
-	if par := p.par(); par > 1 {
-		fmt.Fprintf(&b, "parallelism: %d (partitioned hash-join build/probe; nest + linking selection per nest-key partition)\n", par)
-	} else {
-		b.WriteString("parallelism: 1 (serial operators)\n")
-	}
 	if opt.Vectorized {
 		if reason := p.vecGate(); reason != "" {
 			fmt.Fprintf(&b, "vectorized: requested but disabled (%s)\n", reason)
@@ -75,7 +70,7 @@ func (p *planner) explainString() string {
 		b.WriteString("memory budget: unbounded (no operator spills)\n")
 	}
 	if opt.Timeout > 0 {
-		fmt.Fprintf(&b, "timeout: %s (cancellation observed at operator boundaries; workers drained, spill files removed)\n", opt.Timeout)
+		fmt.Fprintf(&b, "timeout: %s (cancellation observed at operator boundaries; spill files removed)\n", opt.Timeout)
 	}
 	if opt.UseStats && p.statsNote != "" {
 		b.WriteString(p.statsNote)

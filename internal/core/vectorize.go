@@ -20,17 +20,14 @@ import (
 
 // vecGate reports why the batch operators cannot be used under the
 // current options ("" = they can). The gate is a pure function of the
-// options, so EXPLAIN reaches the same verdict as execution: batches
-// neither hash-partition across workers nor spill under a memory
-// budget, and the fault-injection hooks intercept only the row
-// operators. Context/timeout governance does NOT disable the batch
+// options, so EXPLAIN reaches the same verdict as execution: batches do
+// not spill under a memory budget, and the fault-injection hooks
+// intercept only the row operators. Context/timeout governance does NOT disable the batch
 // path — its operators observe cancellation at batch boundaries.
 func (p *planner) vecGate() string {
 	switch {
 	case !p.opt.Vectorized:
 		return "not requested"
-	case p.opt.Parallelism > 1:
-		return "partitioned parallelism requested"
 	case p.opt.MemoryBudget > 0:
 		return "memory budget set (batch operators do not spill)"
 	case p.opt.MemPool != nil:

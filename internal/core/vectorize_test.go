@@ -72,16 +72,6 @@ func TestExplainVectorized(t *testing.T) {
 		t.Errorf("plan lacks a [batch] operator annotation:\n%s", plan)
 	}
 
-	par := vopt
-	par.Parallelism = 4
-	plan, err = Explain(q, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "vectorized: requested but disabled (partitioned parallelism requested)") {
-		t.Errorf("parallel plan does not report the closed gate:\n%s", plan)
-	}
-
 	budget := vopt
 	budget.MemoryBudget = 64 << 10
 	plan, err = Explain(q, budget)

@@ -19,9 +19,9 @@ import (
 // physical operator runs under a per-query ExecContext carrying
 //
 //   - cancellation: a context.Context (plus an optional deadline) whose
-//     cancellation is observed at operator boundaries — between morsels in
-//     the worker pool, between tuples in probe/scan loops — so an abort
-//     takes effect promptly, drains in-flight workers, and leaks nothing;
+//     cancellation is observed at operator boundaries — between tuples in
+//     probe/scan loops, between spill chunks and sort runs — so an abort
+//     takes effect promptly and leaks nothing;
 //   - a memory budget: a byte-accounted bound on operator *working state*
 //     (hash-join build tables, sort copies, external-merge run buffers).
 //     When an operator's working state would exceed the budget it degrades
@@ -33,7 +33,7 @@ import (
 //   - fault hooks: optional test-only interception points (FaultHooks)
 //     that deterministically inject allocation failures, forced spills,
 //     spill-I/O errors and mid-operator cancellations;
-//   - panic containment: Guard converts an operator or worker panic into a
+//   - panic containment: Guard converts an operator panic into a
 //     *QueryError carrying the operator path, so one poisoned tuple cannot
 //     take down the process.
 
@@ -60,8 +60,8 @@ var ErrBudget = errors.New("memory budget exceeded")
 
 // FaultHooks are the interception points the fault-injection harness
 // (internal/faultinject) installs. All fields are optional; a nil hook
-// costs one pointer check. Hooks may be called concurrently from pool
-// workers and must be safe for concurrent use.
+// costs one pointer check. Concurrent queries may share one set of hooks,
+// so hooks must be safe for concurrent use.
 type FaultHooks struct {
 	// BeforeAlloc runs before each working-state reservation; returning an
 	// error simulates an allocation failure (surfaced as a *QueryError).
@@ -107,47 +107,41 @@ type Stats struct {
 	SpillBytes int64 // bytes written to spill files
 }
 
-// govState is the accounting shared by an ExecContext and every
-// cancellable view derived from it (WithCancel): one budget, one spill
-// ledger, one temp directory per query.
-type govState struct {
-	limits Limits
-
-	used, peak, spills, spillBytes atomic.Int64
-
-	// poolCharged tracks how many bytes this query currently holds from
-	// the shared MemPool, so the root Close can return anything an error
-	// path failed to Release — the pool must never leak across queries.
-	poolCharged atomic.Int64
-
-	// planned holds operator names the cost-based planner decided will
-	// exceed the budget: those operators take their spill path from the
-	// start instead of attempting an in-memory build first. Written once
-	// during planning (before operators run), read by workers.
-	planned map[string]bool
-
-	tmpMu  sync.Mutex
-	tmpDir string
-}
-
 // ExecContext is the per-query execution context threaded through the
-// iterator contract and every physical operator. The zero value is not
-// usable; construct with NewExecContext or use Background.
+// iterator contract and every physical operator: the query's
+// cancellation, its budget and spill ledger, and its temp directory. The
+// zero value is not usable; construct with NewExecContext or use
+// Background.
 type ExecContext struct {
-	gov *govState
+	limits Limits
 
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    <-chan struct{}       // ctx.Done(), cached at construction
 	aborted atomic.Pointer[error] // cached ctx error, set by the first observer
 	once    sync.Once             // Close idempotence
-	root    bool                  // owns the temp dir (views do not)
+
+	used, peak, spills, spillBytes atomic.Int64
+
+	// poolCharged tracks how many bytes this query currently holds from
+	// the shared MemPool, so Close can return anything an error path
+	// failed to Release — the pool must never leak across queries.
+	poolCharged atomic.Int64
+
+	// planned holds operator names the cost-based planner decided will
+	// exceed the budget: those operators take their spill path from the
+	// start instead of attempting an in-memory build first. Written once
+	// during planning (before operators run), read by the operators.
+	planned map[string]bool
+
+	tmpMu  sync.Mutex
+	tmpDir string
 }
 
 // background is the shared ungoverned context: no budget, no deadline, no
 // hooks. Operators invoked through the compatibility wrappers run under it
 // with near-zero overhead (nil checks only).
-var background = &ExecContext{gov: &govState{}, ctx: context.Background()}
+var background = &ExecContext{ctx: context.Background()}
 
 // Background returns the shared ungoverned ExecContext. It must not be
 // Closed (Close on it is a no-op).
@@ -155,13 +149,13 @@ func Background() *ExecContext { return background }
 
 // NewExecContext returns a context governed by the given limits. ctx may
 // be nil (context.Background()). Close must be called when the query
-// finishes — it cancels the context, stops internal goroutines and
-// removes the spill directory.
+// finishes — it cancels the context, returns pooled bytes and removes
+// the spill directory.
 func NewExecContext(ctx context.Context, limits Limits) *ExecContext {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ec := &ExecContext{gov: &govState{limits: limits}, ctx: ctx, root: true}
+	ec := &ExecContext{limits: limits, ctx: ctx}
 	if limits.Timeout > 0 {
 		ec.ctx, ec.cancel = context.WithTimeout(ec.ctx, limits.Timeout)
 	}
@@ -169,21 +163,8 @@ func NewExecContext(ctx context.Context, limits Limits) *ExecContext {
 	return ec
 }
 
-// WithCancel returns a cancellable view of ec sharing its budget, spill
-// ledger, hooks and temp directory. Cancelling the view aborts only work
-// running under it — the mechanism operator-scoped teardown (for example
-// ParallelJoinIter.Close) uses to stop its workers without aborting the
-// whole query. Close the view to release its context; the shared state
-// stays with the parent.
-func (ec *ExecContext) WithCancel() (*ExecContext, context.CancelFunc) {
-	child := &ExecContext{gov: ec.gov}
-	child.ctx, child.cancel = context.WithCancel(ec.ctx)
-	child.done = child.ctx.Done()
-	return child, child.cancel
-}
-
-// Close releases the context: it cancels outstanding work and (on the
-// root context) removes the query's spill directory — even after an
+// Close releases the context: it cancels outstanding work, returns any
+// pooled bytes and removes the query's spill directory — even after an
 // error or a cancellation, so no temp files outlive the query. Close is
 // idempotent.
 func (ec *ExecContext) Close() error {
@@ -195,19 +176,17 @@ func (ec *ExecContext) Close() error {
 		if ec.cancel != nil {
 			ec.cancel()
 		}
-		if ec.root {
-			if p := ec.gov.limits.MemPool; p != nil {
-				if rem := ec.gov.poolCharged.Swap(0); rem > 0 {
-					p.Release(rem)
-				}
+		if p := ec.limits.MemPool; p != nil {
+			if rem := ec.poolCharged.Swap(0); rem > 0 {
+				p.Release(rem)
 			}
-			ec.gov.tmpMu.Lock()
-			dir := ec.gov.tmpDir
-			ec.gov.tmpDir = ""
-			ec.gov.tmpMu.Unlock()
-			if dir != "" {
-				err = os.RemoveAll(dir)
-			}
+		}
+		ec.tmpMu.Lock()
+		dir := ec.tmpDir
+		ec.tmpDir = ""
+		ec.tmpMu.Unlock()
+		if dir != "" {
+			err = os.RemoveAll(dir)
 		}
 	})
 	return err
@@ -221,31 +200,24 @@ func (ec *ExecContext) Context() context.Context { return ec.ctx }
 // Ungoverned contexts keep every operator on its zero-overhead in-memory
 // fast path.
 func (ec *ExecContext) Governed() bool {
-	return ec.gov.limits.MemoryBudget > 0 || ec.gov.limits.MemPool != nil ||
-		ec.gov.limits.Hooks != nil || ec.ctx.Done() != nil
+	return ec.limits.MemoryBudget > 0 || ec.limits.MemPool != nil ||
+		ec.limits.Hooks != nil || ec.ctx.Done() != nil
 }
 
 // Budget returns the memory budget in bytes (0 = unbounded).
-func (ec *ExecContext) Budget() int64 { return ec.gov.limits.MemoryBudget }
+func (ec *ExecContext) Budget() int64 { return ec.limits.MemoryBudget }
 
 // Tracing reports whether the context carries a tracer. Operators use it
 // to skip label formatting; span methods themselves are nil-safe and
 // need no guard.
-func (ec *ExecContext) Tracing() bool { return ec.gov.limits.Tracer != nil }
+func (ec *ExecContext) Tracing() bool { return ec.limits.Tracer != nil }
 
 // StartSpan opens a child span of the innermost open span and makes it
 // current. With tracing disabled it returns nil, on which every Span
 // method is a no-op. Tracing never changes which physical path an
 // operator takes — Governed deliberately ignores the tracer.
 func (ec *ExecContext) StartSpan(op, kind string) *obsv.Span {
-	return ec.gov.limits.Tracer.Start(op, kind)
-}
-
-// CurrentSpan returns the innermost open span (nil with tracing
-// disabled). Pool workers use it to credit morsel claims to whatever
-// operator is running.
-func (ec *ExecContext) CurrentSpan() *obsv.Span {
-	return ec.gov.limits.Tracer.Current()
+	return ec.limits.Tracer.Start(op, kind)
 }
 
 // Err returns the cancellation error, if any, without wrapping. After
@@ -274,7 +246,7 @@ func (ec *ExecContext) Err() error {
 // return must abort the operator. The error is a *QueryError wrapping the
 // cause, so the operator path survives to the caller.
 func (ec *ExecContext) Check(op string) error {
-	if h := ec.gov.limits.Hooks; h != nil && h.OnCheck != nil {
+	if h := ec.limits.Hooks; h != nil && h.OnCheck != nil {
 		if err := h.OnCheck(op); err != nil {
 			return &QueryError{Op: op, Err: err}
 		}
@@ -290,40 +262,39 @@ func (ec *ExecContext) Check(op string) error {
 // should degrade to its spill path — and a non-nil error only for an
 // injected allocation failure. The caller must Release what it reserved.
 func (ec *ExecContext) TryReserve(op string, n int64) (bool, error) {
-	if h := ec.gov.limits.Hooks; h != nil && h.BeforeAlloc != nil {
+	if h := ec.limits.Hooks; h != nil && h.BeforeAlloc != nil {
 		if err := h.BeforeAlloc(op, n); err != nil {
 			return false, &QueryError{Op: op, Err: err}
 		}
 	}
-	g := ec.gov
-	if b := g.limits.MemoryBudget; b > 0 {
+	if b := ec.limits.MemoryBudget; b > 0 {
 		for {
-			cur := g.used.Load()
+			cur := ec.used.Load()
 			if cur+n > b {
 				return false, nil
 			}
-			if g.used.CompareAndSwap(cur, cur+n) {
+			if ec.used.CompareAndSwap(cur, cur+n) {
 				break
 			}
 		}
 	} else {
-		g.used.Add(n)
+		ec.used.Add(n)
 	}
-	if p := g.limits.MemPool; p != nil {
+	if p := ec.limits.MemPool; p != nil {
 		if !p.TryReserve(n) {
-			g.used.Add(-n)
+			ec.used.Add(-n)
 			return false, nil
 		}
-		g.poolCharged.Add(n)
+		ec.poolCharged.Add(n)
 	}
 	for {
-		p, u := g.peak.Load(), g.used.Load()
-		if u <= p || g.peak.CompareAndSwap(p, u) {
+		p, u := ec.peak.Load(), ec.used.Load()
+		if u <= p || ec.peak.CompareAndSwap(p, u) {
 			break
 		}
 	}
-	if g.limits.Tracer != nil {
-		g.limits.Tracer.Current().AddBytes(n)
+	if ec.limits.Tracer != nil {
+		ec.limits.Tracer.Current().AddBytes(n)
 	}
 	return true, nil
 }
@@ -334,38 +305,37 @@ func (ec *ExecContext) TryReserve(op string, n int64) (bool, error) {
 // fallback; it only surfaces ErrBudget when n alone exceeds ten times the
 // whole budget (a configuration error, not memory pressure).
 func (ec *ExecContext) Reserve(op string, n int64) error {
-	if b := ec.gov.limits.MemoryBudget; b > 0 && n > 10*b {
+	if b := ec.limits.MemoryBudget; b > 0 && n > 10*b {
 		return &QueryError{Op: op, Err: ErrBudget}
 	}
-	if h := ec.gov.limits.Hooks; h != nil && h.BeforeAlloc != nil {
+	if h := ec.limits.Hooks; h != nil && h.BeforeAlloc != nil {
 		if err := h.BeforeAlloc(op, n); err != nil {
 			return &QueryError{Op: op, Err: err}
 		}
 	}
-	g := ec.gov
-	g.used.Add(n)
-	if p := g.limits.MemPool; p != nil {
+	ec.used.Add(n)
+	if p := ec.limits.MemPool; p != nil {
 		p.Reserve(n)
-		g.poolCharged.Add(n)
+		ec.poolCharged.Add(n)
 	}
 	for {
-		p, u := g.peak.Load(), g.used.Load()
-		if u <= p || g.peak.CompareAndSwap(p, u) {
+		p, u := ec.peak.Load(), ec.used.Load()
+		if u <= p || ec.peak.CompareAndSwap(p, u) {
 			break
 		}
 	}
-	if g.limits.Tracer != nil {
-		g.limits.Tracer.Current().AddBytes(n)
+	if ec.limits.Tracer != nil {
+		ec.limits.Tracer.Current().AddBytes(n)
 	}
 	return nil
 }
 
 // Release returns n reserved bytes (to the shared pool too, when wired).
 func (ec *ExecContext) Release(n int64) {
-	ec.gov.used.Add(-n)
-	if p := ec.gov.limits.MemPool; p != nil {
+	ec.used.Add(-n)
+	if p := ec.limits.MemPool; p != nil {
 		p.Release(n)
-		ec.gov.poolCharged.Add(-n)
+		ec.poolCharged.Add(-n)
 	}
 }
 
@@ -377,30 +347,29 @@ func (ec *ExecContext) Release(n int64) {
 // in-memory paths produce byte-identical results, so a wrong estimate
 // costs only performance.
 func (ec *ExecContext) PlanSpill(ops ...string) {
-	g := ec.gov
-	if g.planned == nil {
-		g.planned = make(map[string]bool, len(ops))
+	if ec.planned == nil {
+		ec.planned = make(map[string]bool, len(ops))
 	}
 	for _, op := range ops {
-		g.planned[op] = true
+		ec.planned[op] = true
 	}
 }
 
 // ForceSpill reports whether op must take its spill path: either the
 // cost-based planner decided so (PlanSpill) or the fault hooks force it.
 func (ec *ExecContext) ForceSpill(op string) bool {
-	if ec.gov.planned[op] {
+	if ec.planned[op] {
 		return true
 	}
-	h := ec.gov.limits.Hooks
+	h := ec.limits.Hooks
 	return h != nil && h.ForceSpill != nil && h.ForceSpill(op)
 }
 
 // NoteSpill records one spill event of the given size.
 func (ec *ExecContext) NoteSpill(bytes int64) {
-	ec.gov.spills.Add(1)
-	ec.gov.spillBytes.Add(bytes)
-	if tr := ec.gov.limits.Tracer; tr != nil {
+	ec.spills.Add(1)
+	ec.spillBytes.Add(bytes)
+	if tr := ec.limits.Tracer; tr != nil {
 		tr.Current().NoteSpill(bytes)
 	}
 }
@@ -408,9 +377,9 @@ func (ec *ExecContext) NoteSpill(bytes int64) {
 // Stats snapshots the resource accounting.
 func (ec *ExecContext) Stats() Stats {
 	return Stats{
-		PeakBytes:  ec.gov.peak.Load(),
-		Spills:     ec.gov.spills.Load(),
-		SpillBytes: ec.gov.spillBytes.Load(),
+		PeakBytes:  ec.peak.Load(),
+		Spills:     ec.spills.Load(),
+		SpillBytes: ec.spillBytes.Load(),
 	}
 }
 
@@ -419,7 +388,7 @@ func (ec *ExecContext) Stats() Stats {
 // its bookkeeping fit together, or a fixed default under forced spills
 // with no budget.
 func (ec *ExecContext) spillChunkBytes() int64 {
-	if b := ec.gov.limits.MemoryBudget; b > 0 {
+	if b := ec.limits.MemoryBudget; b > 0 {
 		if half := b / 2; half > 0 {
 			return half
 		}
@@ -431,22 +400,21 @@ func (ec *ExecContext) spillChunkBytes() int64 {
 // tempFile creates a spill file for op under the query's spill directory,
 // creating the directory on first use. The SpillIO hook runs first.
 func (ec *ExecContext) tempFile(op string) (*os.File, error) {
-	if h := ec.gov.limits.Hooks; h != nil && h.SpillIO != nil {
+	if h := ec.limits.Hooks; h != nil && h.SpillIO != nil {
 		if err := h.SpillIO(op); err != nil {
 			return nil, &QueryError{Op: op, Err: err}
 		}
 	}
-	g := ec.gov
-	g.tmpMu.Lock()
-	defer g.tmpMu.Unlock()
-	if g.tmpDir == "" {
-		dir, err := os.MkdirTemp(g.limits.TempDir, "nra-spill-")
+	ec.tmpMu.Lock()
+	defer ec.tmpMu.Unlock()
+	if ec.tmpDir == "" {
+		dir, err := os.MkdirTemp(ec.limits.TempDir, "nra-spill-")
 		if err != nil {
 			return nil, &QueryError{Op: op, Err: err}
 		}
-		g.tmpDir = dir
+		ec.tmpDir = dir
 	}
-	f, err := os.CreateTemp(g.tmpDir, "chunk-*")
+	f, err := os.CreateTemp(ec.tmpDir, "chunk-*")
 	if err != nil {
 		return nil, &QueryError{Op: op, Err: err}
 	}
@@ -455,7 +423,7 @@ func (ec *ExecContext) tempFile(op string) (*os.File, error) {
 
 // spillIO runs the spill-I/O fault hook for op (no-op without hooks).
 func (ec *ExecContext) spillIO(op string) error {
-	if h := ec.gov.limits.Hooks; h != nil && h.SpillIO != nil {
+	if h := ec.limits.Hooks; h != nil && h.SpillIO != nil {
 		if err := h.SpillIO(op); err != nil {
 			return &QueryError{Op: op, Err: err}
 		}
@@ -468,7 +436,7 @@ func (ec *ExecContext) spillIO(op string) error {
 //
 //	defer exec.Guard("join/probe", &err)
 //
-// in every operator entry point and pool worker.
+// in every operator entry point.
 func Guard(op string, err *error) {
 	if r := recover(); r != nil {
 		*err = &QueryError{Op: op, Err: fmt.Errorf("panic: %v\n%s", r, debug.Stack())}

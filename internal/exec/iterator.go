@@ -19,7 +19,7 @@ import (
 // Contract points every implementation honours:
 //   - Open(ec) passes ec to its inputs' Open and retains it for the
 //     operator's own checkpoints; cancellation is observed at operator
-//     boundaries (between tuples or morsels), never only at end of
+//     boundaries (between tuples or chunks), never only at end of
 //     stream.
 //   - Close is idempotent, safe before the first Next (even before
 //     Open), and closes *all* inputs exactly once — an input may own

@@ -164,7 +164,7 @@ func NestLink(ec *ExecContext, rel *relation.Relation, keyCols, by []string, spe
 	if err != nil {
 		return nil, err
 	}
-	sorted, _, err := spillSortBy(ec, "nestlink/sort", rel.Tuples, plan.keyIdx, rel.Schema, 1)
+	sorted, _, err := spillSortBy(ec, "nestlink/sort", rel.Tuples, plan.keyIdx, rel.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -172,9 +172,8 @@ func NestLink(ec *ExecContext, rel *relation.Relation, keyCols, by []string, spe
 }
 
 // nestLinkPlan is the resolved column machinery of one fused nest +
-// linking selection, shared by the serial and the partitioned-parallel
-// executions (the scan over one group-aligned tuple range is identical in
-// both).
+// linking selection: prepareNestLink resolves it once, and scan runs the
+// single pass over the sorted input.
 type nestLinkPlan struct {
 	keyIdx, byIdx []int
 	padIdx        []int // positions in the OUTPUT row to pad; nil = strict
@@ -353,15 +352,16 @@ func NestLinkChain(ec *ExecContext, rel *relation.Relation, levels []ChainLevel,
 	if err != nil {
 		return nil, err
 	}
-	sorted, _, err := spillSortBy(ec, "nestlink/sort", rel.Tuples, plan.sortIdx, rel.Schema, 1)
+	sorted, _, err := spillSortBy(ec, "nestlink/sort", rel.Tuples, plan.sortIdx, rel.Schema)
 	if err != nil {
 		return nil, err
 	}
 	return plan.scan(ec, sorted)
 }
 
-// chainPlan is the resolved column machinery of a fully fused nest chain,
-// shared by the serial and the partitioned-parallel executions.
+// chainPlan is the resolved column machinery of a fully fused nest chain:
+// prepareChain resolves it once, and scan runs the single pass over the
+// sorted input.
 type chainPlan struct {
 	levels    []ChainLevel
 	outIdx    []int

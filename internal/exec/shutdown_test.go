@@ -1,17 +1,13 @@
 package exec
 
-// Shutdown semantics: Close on the streaming join operators must be a
-// safe no-op before Open and after a previous Close, must close both
-// inputs exactly once, and — for the parallel operator — must drain
-// every in-flight worker before returning, whether it is called before
-// the first Next or mid-stream. The goroutine-leak regression test
-// pins the early-Close drain behaviour.
+// Shutdown semantics: Close on the streaming join operator must be a
+// safe no-op before Open and after a previous Close and must close both
+// inputs exactly once, whether it is called before the first Next or
+// mid-stream.
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"nra/internal/algebra"
 	"nra/internal/expr"
@@ -123,64 +119,4 @@ func TestHashJoinCloseSemantics(t *testing.T) {
 		ri := &countingIter{inner: NewScan(r)}
 		return NewHashJoin(li, ri, on, true), li, ri
 	}, want)
-}
-
-func TestParallelJoinIterCloseSemantics(t *testing.T) {
-	l, r, on := shutdownInputs(t)
-	want, err := algebra.LeftOuterJoin(l, r, on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeScenarios(t, func() (Iterator, *countingIter, *countingIter) {
-		li := &countingIter{inner: NewScan(l)}
-		ri := &countingIter{inner: NewScan(r)}
-		return NewParallelJoinIter(li, ri, on, true, 8), li, ri
-	}, want)
-}
-
-// waitNoLeak retries the goroutine-count comparison (workers unwind
-// asynchronously after Close returns their results).
-func waitNoLeak(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutines leaked: %d, baseline %d\n%s", runtime.NumGoroutine(), baseline, buf)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestParallelJoinIterNoGoroutineLeak is the regression test for the
-// early-Close drain: repeatedly Open a parallel join (whose producer and
-// workers run in the background), abandon it before or mid-stream, Close,
-// and assert the goroutine count returns to the baseline.
-func TestParallelJoinIterNoGoroutineLeak(t *testing.T) {
-	l, r, on := shutdownInputs(t)
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 40; i++ {
-		ec := NewExecContext(nil, Limits{MemoryBudget: 32 << 10})
-		it := NewParallelJoinIter(NewScan(l), NewScan(r), on, true, 8)
-		if err := it.Open(ec); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < i%4; j++ { // 0 = close before first Next
-			if _, _, err := it.Next(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ec.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitNoLeak(t, baseline)
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // joinSpill is the budget-bounded hash join: the grace-style degradation
-// ParallelJoin and HashJoin take when the build side does not fit the
-// memory budget. It produces output byte-identical to algebra.Join /
-// algebra.LeftOuterJoin (and therefore to the partitioned-parallel join):
+// Join and HashJoin take when the build side does not fit the memory
+// budget. It produces output byte-identical to algebra.Join /
+// algebra.LeftOuterJoin (and therefore to the in-memory Join):
 //
 //  1. the build side is split into consecutive chunks each within the
 //     per-chunk working-state bound, so only one chunk's hash table is in

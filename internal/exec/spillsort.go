@@ -13,7 +13,7 @@ import (
 // spillSortBy sorts tuples by the given column indexes into a fresh
 // slice, producing exactly the order Relation.SortBy does (stable,
 // value.Less, NULLs first). When the sorted copy fits the memory budget
-// (or the context is ungoverned) it runs in memory via parallelSortBy;
+// (or the context is ungoverned) it runs in memory as one stable sort;
 // otherwise it degrades to an external merge sort:
 //
 //  1. the input is split into consecutive runs each within the per-chunk
@@ -29,7 +29,7 @@ import (
 // one regardless of run boundaries.
 //
 // The second result reports whether the sort spilled.
-func spillSortBy(ec *ExecContext, op string, tuples []relation.Tuple, idx []int, schema *relation.Schema, par int) ([]relation.Tuple, bool, error) {
+func spillSortBy(ec *ExecContext, op string, tuples []relation.Tuple, idx []int, schema *relation.Schema) ([]relation.Tuple, bool, error) {
 	var sp *obsv.Span
 	if ec.Tracing() {
 		sp = ec.StartSpan(op, obsv.KindSort)
@@ -44,9 +44,12 @@ func spillSortBy(ec *ExecContext, op string, tuples []relation.Tuple, idx []int,
 		}
 		if ok {
 			defer ec.Release(bytes)
-			out, err := parallelSortBy(ec, tuples, idx, par)
+			out := make([]relation.Tuple, len(tuples))
+			for i, j := range stableOrder(tuples, idx, 0, len(tuples)) {
+				out[i] = tuples[j]
+			}
 			sp.AddRowsOut(int64(len(out)))
-			return out, false, err
+			return out, false, nil
 		}
 	}
 	sp.SetKind(obsv.KindExtSort)
@@ -65,6 +68,24 @@ func lessOn(a, b relation.Tuple, idx []int) (less, known bool) {
 		}
 	}
 	return false, false
+}
+
+// stableOrder returns the positions lo..hi-1 ordered by the sort
+// columns, ties broken by position — the total order a stable sort
+// defines.
+func stableOrder(tuples []relation.Tuple, idx []int, lo, hi int) []int {
+	ord := make([]int, hi-lo)
+	for i := range ord {
+		ord[i] = lo + i
+	}
+	sort.Slice(ord, func(i, j int) bool {
+		a, b := ord[i], ord[j]
+		if l, known := lessOn(tuples[a], tuples[b], idx); known {
+			return l
+		}
+		return a < b
+	})
+	return ord
 }
 
 func externalSortBy(ec *ExecContext, op string, tuples []relation.Tuple, idx []int, schema *relation.Schema) ([]relation.Tuple, error) {
@@ -88,17 +109,7 @@ func externalSortBy(ec *ExecContext, op string, tuples []relation.Tuple, idx []i
 		if err := ec.Reserve(op, runBytes); err != nil {
 			return nil, err
 		}
-		ord := make([]int, hi-lo)
-		for i := range ord {
-			ord[i] = lo + i
-		}
-		sort.Slice(ord, func(i, j int) bool {
-			a, b := ord[i], ord[j]
-			if l, known := lessOn(tuples[a], tuples[b], idx); known {
-				return l
-			}
-			return a < b
-		})
+		ord := stableOrder(tuples, idx, lo, hi)
 		sw, err := newSpillWriter(ec, op)
 		if err != nil {
 			ec.Release(runBytes)

@@ -15,8 +15,8 @@
 //	    runQuery(inj2.Hooks())       // must fail fast and leak nothing
 //	}
 //
-// Injectors are safe for concurrent use (pool workers call hooks
-// concurrently); arm them before the query starts, not during.
+// Injectors are safe for concurrent use (concurrent queries may share
+// one); arm them before the query starts, not during.
 package faultinject
 
 import (

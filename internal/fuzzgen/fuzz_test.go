@@ -48,7 +48,7 @@ func TestFuzzDifferential(t *testing.T) {
 		runSeed(t, baseSeed+int64(i))
 		checked++
 	}
-	t.Logf("fuzz: %d queries checked (base seed %d, 5-mode matrix, 3VL+2VL)", checked, baseSeed)
+	t.Logf("fuzz: %d queries checked (base seed %d, %d-mode matrix, 3VL+2VL)", checked, baseSeed, len(Modes()))
 }
 
 // runSeed generates and differentially checks the query at one seed.

@@ -18,24 +18,21 @@ type Mode struct {
 	Opts core.Options
 }
 
-// Modes returns the five execution modes every generated query is
-// checked under: heuristic serial, vectorized batch-at-a-time, 4-way
-// parallel, memory-governed with a 64 KiB budget (forcing spills), and
-// cost-based planning from fresh statistics. Results must be identical
-// across all of them.
+// Modes returns the four execution modes every generated query is
+// checked under: heuristic serial, vectorized batch-at-a-time,
+// memory-governed with a 64 KiB budget (forcing spills), and cost-based
+// planning from fresh statistics. Results must be identical across all
+// of them.
 func Modes() []Mode {
 	serial := core.Optimized()
 	serial.UseStats, serial.CostBased = false, false
 	vectorized := serial
 	vectorized.Vectorized = true
-	parallel := serial
-	parallel.Parallelism = 4
 	governed := serial
 	governed.MemoryBudget = 64 << 10
 	return []Mode{
 		{"serial", serial},
 		{"vectorized", vectorized},
-		{"parallel-4", parallel},
 		{"governed-64K", governed},
 		{"cost-based", core.Optimized()},
 	}

@@ -49,7 +49,7 @@ func (e *Executor) reduceBlock(b *sql.Block) (*relation.Relation, error) {
 			rel = tblRel
 			continue
 		}
-		joined, err := algebra.Join(rel, tblRel, nil)
+		joined, err := exec.Join(exec.Background(), rel, tblRel, nil, false)
 		if err != nil {
 			return nil, err
 		}

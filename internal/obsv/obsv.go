@@ -7,9 +7,9 @@
 // safe on a nil receiver and does nothing, so an operator records into
 // the current trace with plain calls and a disabled trace costs only nil
 // checks — zero allocations on the per-tuple hot path (asserted by
-// tests). Span field updates are coarse (operator entry/exit, per-morsel
-// claims), never per tuple, so a plain mutex on the owning Tracer is
-// cheap and keeps the package race-free.
+// tests). Span field updates are coarse (operator entry/exit, per
+// reservation or spill), never per tuple, so a plain mutex on the owning
+// Tracer is cheap and keeps the package race-free.
 //
 // See docs/OBSERVABILITY.md for the span model, metric names and the
 // slow-query log schema.
@@ -46,13 +46,13 @@ const (
 )
 
 // Span is one live operator measurement inside a Tracer's span tree:
-// wall-clock start/elapsed, rows in/out, working-state bytes reserved,
-// spill events, and morsels claimed per worker. A nil *Span is the
-// disabled trace; every method on it is a no-op.
+// wall-clock start/elapsed, rows in/out, working-state bytes reserved
+// and spill events. A nil *Span is the disabled trace; every method on
+// it is a no-op.
 //
 // Spans are opened and closed on the query's driving goroutine (operator
-// entry points are sequential); concurrent pool workers only add morsel
-// claims, which lock the owning Tracer.
+// entry points are sequential); the owning Tracer's lock lets another
+// goroutine snapshot a trace while it is still being recorded.
 type Span struct {
 	tr     *Tracer
 	parent *Span
@@ -68,7 +68,6 @@ type Span struct {
 	batches            int64 // batches processed by a vectorized operator
 	bytes              int64 // working-state bytes reserved under this span
 	spills, spillBytes int64
-	morsels            []int64 // tasks claimed per worker (index = worker id)
 	children           []*Span
 }
 
@@ -112,8 +111,8 @@ func (t *Tracer) Start(op, kind string) *Span {
 }
 
 // Current returns the innermost open span (the root before any Start),
-// or nil on a nil tracer. Workers use it to credit bytes, spills and
-// morsels to whatever operator is running.
+// or nil on a nil tracer. The executor uses it to credit bytes and
+// spills to whatever operator is running.
 func (t *Tracer) Current() *Span {
 	if t == nil {
 		return nil
@@ -217,9 +216,6 @@ func snap(s *Span, now time.Duration) *SpanRecord {
 	if !s.ended {
 		r.Elapsed = now - s.start
 	}
-	if len(s.morsels) > 0 {
-		r.Morsels = append([]int64(nil), s.morsels...)
-	}
 	for _, c := range s.children {
 		r.Children = append(r.Children, snap(c, now))
 	}
@@ -310,32 +306,5 @@ func (s *Span) NoteSpill(bytes int64) {
 	s.tr.mu.Lock()
 	s.spills++
 	s.spillBytes += bytes
-	s.tr.mu.Unlock()
-}
-
-// EnsureWorkers grows the per-worker morsel counters to at least n.
-// Callers invoke it before the workers of one parallel phase start; the
-// pool guarantees no worker of a previous phase is still running.
-func (s *Span) EnsureWorkers(n int) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	for len(s.morsels) < n {
-		s.morsels = append(s.morsels, 0)
-	}
-	s.tr.mu.Unlock()
-}
-
-// Morsel records one task claimed by worker w (0 = the submitting
-// goroutine). Claims are per-morsel, not per-tuple, so the lock is cheap.
-func (s *Span) Morsel(w int) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	if w >= 0 && w < len(s.morsels) {
-		s.morsels[w]++
-	}
 	s.tr.mu.Unlock()
 }

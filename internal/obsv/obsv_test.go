@@ -30,8 +30,6 @@ func TestNilSafety(t *testing.T) {
 	sp.AddRowsOut(1)
 	sp.AddBytes(1)
 	sp.NoteSpill(1)
-	sp.EnsureWorkers(4)
-	sp.Morsel(0)
 }
 
 func TestSpanStack(t *testing.T) {
@@ -102,12 +100,9 @@ func TestWaterfall(t *testing.T) {
 	sp.AddRowsIn(100)
 	sp.AddRowsOut(42)
 	sp.NoteSpill(4096)
-	sp.EnsureWorkers(2)
-	sp.Morsel(0)
-	sp.Morsel(1)
 	sp.End()
 	out := Waterfall(tr.Finish())
-	for _, want := range []string{"operator", "query", "scan r", "42", "1 spills (4096 B)", "morsels=[1 1]"} {
+	for _, want := range []string{"operator", "query", "scan r", "42", "1 spills (4096 B)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, out)
 		}

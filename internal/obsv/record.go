@@ -22,7 +22,6 @@ type SpanRecord struct {
 	Bytes      int64         `json:"bytes,omitempty"`       // working-state bytes reserved
 	Spills     int64         `json:"spills,omitempty"`      // spill events under this span
 	SpillBytes int64         `json:"spill_bytes,omitempty"` // bytes written to spill files
-	Morsels    []int64       `json:"morsels,omitempty"`     // tasks claimed per worker
 	Children   []*SpanRecord `json:"children,omitempty"`
 
 	// Session and QueryID label the root record of a tagged trace (see
@@ -105,9 +104,6 @@ func Waterfall(root *SpanRecord) string {
 		}
 		if r.Spills > 0 {
 			fmt.Fprintf(&b, " %d spills (%d B)", r.Spills, r.SpillBytes)
-		}
-		if len(r.Morsels) > 1 {
-			fmt.Fprintf(&b, " morsels=%v", r.Morsels)
 		}
 		b.WriteByte('\n')
 		for _, c := range r.Children {

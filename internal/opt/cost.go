@@ -15,10 +15,6 @@ const (
 	// TupleOverhead mirrors exec.TupleBytes' fixed per-tuple bytes, used
 	// when translating estimated rows into working-state bytes.
 	TupleOverhead = 48
-	// MinParallelRows is the smallest dominant operator input for which
-	// fanning work across a worker pool amortises its startup and merge
-	// cost; below it the planner picks degree 1.
-	MinParallelRows = 8192
 )
 
 // HashJoinCost prices a hash join: build the smaller side, stream the
@@ -60,19 +56,4 @@ func DistinctCost(n float64) float64 {
 // into the working-state bytes the resource governor would account.
 func EstBytes(rows, width float64) float64 {
 	return rows * (width + TupleOverhead)
-}
-
-// ParallelDegree picks the effective partitioned-parallel degree: the
-// requested degree when the dominant operator input is large enough to
-// amortise the pool, otherwise 1 (serial operators, no pool startup or
-// partition merge). Results are byte-identical at every degree, so this
-// is purely a performance decision.
-func ParallelDegree(requested int, peakRows float64) int {
-	if requested <= 1 {
-		return 1
-	}
-	if peakRows < MinParallelRows {
-		return 1
-	}
-	return requested
 }

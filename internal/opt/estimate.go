@@ -3,8 +3,7 @@
 // and all six linking operators with NULL-fraction-aware formulas for
 // the NOT IN / ALL pitfalls the paper centres on — plus a cost model
 // over the engine's physical operators (hash join, semijoin, fused
-// nest + linking selection, partitioned-parallel variants, grace-join /
-// external-sort spilling).
+// nest + linking selection, grace-join / external-sort spilling).
 //
 // The estimator is deliberately all-or-nothing: internal/core only
 // constructs one when every base table in the query carries fresh

@@ -172,15 +172,6 @@ func TestCostModel(t *testing.T) {
 	if EstBytes(10, 52) != 1000 {
 		t.Errorf("EstBytes = %g, want 1000", EstBytes(10, 52))
 	}
-	if got := ParallelDegree(8, 100); got != 1 {
-		t.Errorf("tiny input: degree %d, want 1", got)
-	}
-	if got := ParallelDegree(8, 1e6); got != 8 {
-		t.Errorf("large input: degree %d, want 8", got)
-	}
-	if got := ParallelDegree(1, 1e6); got != 1 {
-		t.Errorf("serial request: degree %d, want 1", got)
-	}
 }
 
 func with(in LinkInput, f func(*LinkInput)) LinkInput {

@@ -5,7 +5,7 @@ package opt
 // vectors, allocating selection and offset arrays — over the row
 // engine's direct per-tuple loop. Below it the planner keeps the row
 // operators; results are byte-identical either way, so this is purely a
-// performance decision (like MinParallelRows for the worker pool).
+// performance decision.
 const VecMinRows = 128
 
 // VectorizeWorthwhile reports whether an operator input of the given

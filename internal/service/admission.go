@@ -83,48 +83,3 @@ func (a *admission) release() {
 	a.inflight.Add(-1)
 	<-a.slots
 }
-
-// workerPool bounds the aggregate intra-query parallelism of the
-// process: a statement asking for N-way partitioned execution takes its
-// extra N-1 workers from the pool non-blocking, and runs with however
-// many it got. Serial execution never waits — every admitted statement
-// always owns one implicit worker — so the pool degrades parallelism
-// under load instead of queueing behind it.
-type workerPool struct {
-	slots chan struct{}
-}
-
-// newWorkerPool builds a pool of n shareable worker slots.
-func newWorkerPool(n int) *workerPool {
-	if n < 1 {
-		n = 1
-	}
-	return &workerPool{slots: make(chan struct{}, n)}
-}
-
-// acquire grants min(want, 1+available) workers and returns the grant
-// with its release function. want below 2 returns 1 with a no-op
-// release.
-func (w *workerPool) acquire(want int) (int, func()) {
-	if want < 2 {
-		return 1, func() {}
-	}
-	got := 1
-	for got < want {
-		select {
-		case w.slots <- struct{}{}:
-			got++
-		default:
-			want = got // pool exhausted; run with what we have
-		}
-	}
-	extra := got - 1
-	return got, func() {
-		for i := 0; i < extra; i++ {
-			<-w.slots
-		}
-	}
-}
-
-// inUse reports how many pooled worker slots are currently granted.
-func (w *workerPool) inUse() int64 { return int64(len(w.slots)) }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -56,7 +57,8 @@ type streamTrailer struct {
 //
 // Responses are Response JSON; streamed queries send header, row, and
 // trailer lines instead. Errors keep HTTP 200 with ok=false except for
-// transport-level problems (bad JSON = 400, draining = 503).
+// transport-level problems (bad JSON = 400, a body over maxLine = 413,
+// draining = 503).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleOp(OpQuery))
@@ -90,9 +92,15 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleOp(defaultOp string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req apiRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				fail("", 0, sessionErrorf("bad request body: %v", err)))
+		body := http.MaxBytesReader(w, r.Body, maxLine)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+				err = fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)
+			}
+			writeJSON(w, status, fail("", 0, sessionErrorf("bad request body: %v", err)))
 			return
 		}
 		if req.Op == "" {

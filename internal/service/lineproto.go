@@ -9,8 +9,8 @@ import (
 	"net"
 )
 
-// maxLine bounds one line-protocol request (1 MiB, matching the shell's
-// input buffer).
+// maxLine bounds one request: a line-protocol line or an HTTP body
+// (1 MiB, matching the shell's input buffer). Responses are unbounded.
 const maxLine = 1 << 20
 
 // ServeLine accepts line-protocol connections on l until the listener
@@ -77,8 +77,7 @@ func DialLine(addr string) (*LineClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &LineClient{conn: conn, enc: json.NewEncoder(conn), sc: bufio.NewScanner(conn)}
-	c.sc.Buffer(make([]byte, maxLine), maxLine)
+	c := &LineClient{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
 	resp, err := c.Do(Request{Op: OpHello})
 	if err != nil {
 		conn.Close()
@@ -95,28 +94,26 @@ func DialLine(addr string) (*LineClient, error) {
 type LineClient struct {
 	conn    net.Conn
 	enc     *json.Encoder
-	sc      *bufio.Scanner
+	dec     *json.Decoder
 	session string
 }
 
 // Session returns the server-assigned session ID.
 func (c *LineClient) Session() string { return c.session }
 
-// Do sends one request and reads its response. A transport failure
-// closes the connection; a Response with ok=false is returned as the
-// response AND as its *WireError so call sites can branch on err alone.
+// Do sends one request and reads its response, of any length. A
+// transport failure closes the connection; a Response with ok=false is
+// returned as the response AND as its *WireError so call sites can
+// branch on err alone.
 func (c *LineClient) Do(req Request) (Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return Response{}, err
 	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return Response{}, err
-		}
-		return Response{}, io.ErrUnexpectedEOF
-	}
 	var resp Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := c.dec.Decode(&resp); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return Response{}, err
 	}
 	if resp.Error != nil {

@@ -1,10 +1,10 @@
 // Package service is the concurrent query service over one shared
 // durable database: sessions with per-session execution defaults and
 // prepared statements, a shared epoch-keyed plan cache, pooled admission
-// control (max-in-flight gate, bounded queue, shared memory pool,
-// bounded worker slots), and two wire surfaces — an HTTP/JSON API and a
-// newline-delimited JSON line protocol for interactive clients. See
-// docs/SERVICE.md for the operational story.
+// control (max-in-flight gate, bounded queue, shared memory pool), and
+// two wire surfaces — an HTTP/JSON API and a newline-delimited JSON line
+// protocol for interactive clients. See docs/SERVICE.md for the
+// operational story.
 package service
 
 import (
@@ -25,8 +25,8 @@ type Request struct {
 	SQL string `json:"sql,omitempty"`
 	// Name identifies a prepared statement for prepare/run/close_stmt.
 	Name string `json:"name,omitempty"`
-	// Key is the session option for set: strategy, timeout, 2vl,
-	// vectorized, or parallelism.
+	// Key is the session option for set: strategy, timeout, 2vl or
+	// vectorized.
 	Key string `json:"key,omitempty"`
 	// Value is the new session-option value for set.
 	Value string `json:"value,omitempty"`

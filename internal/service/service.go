@@ -33,9 +33,6 @@ type Config struct {
 	// MemPoolBytes is the shared memory pool charged by every
 	// statement's operator working state (0 = unbounded).
 	MemPoolBytes int64
-	// Workers bounds the aggregate intra-query parallelism across all
-	// sessions (default GOMAXPROCS).
-	Workers int
 	// PlanCacheSize is the shared plan cache capacity in statements
 	// (default 256; negative disables the cache).
 	PlanCacheSize int
@@ -51,17 +48,16 @@ type Config struct {
 }
 
 // Server is the concurrent query service: it owns the shared plan
-// cache, the admission gate, the worker and memory pools, and the
+// cache, the admission gate, the memory pool, and the
 // session table, and exposes them over an HTTP API (Handler) and a
 // line protocol (ServeLine). One Server is safe for any number of
 // concurrent sessions; create it with New.
 type Server struct {
-	cfg     Config
-	db      *nra.DB
-	cache   *nra.PlanCache
-	pool    *nra.MemPool
-	adm     *admission
-	workers *workerPool
+	cfg   Config
+	db    *nra.DB
+	cache *nra.PlanCache
+	pool  *nra.MemPool
+	adm   *admission
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -91,9 +87,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueTimeout < 0 {
 		cfg.QueueTimeout = 0
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 500 * time.Millisecond
 	}
@@ -101,7 +94,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		db:       cfg.DB,
 		adm:      newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueTimeout),
-		workers:  newWorkerPool(cfg.Workers),
 		sessions: make(map[string]*Session),
 		cancels:  make(map[uint64]context.CancelFunc),
 		conns:    make(map[net.Conn]struct{}),
@@ -141,7 +133,6 @@ func (s *Server) registerGauges(r *obsv.Registry) {
 		defer s.mu.Unlock()
 		return int64(len(s.sessions))
 	})
-	r.RegisterGauge("service_workers_in_use", s.workers.inUse)
 	r.RegisterGauge("mempool_used_bytes", s.pool.Used)
 	r.RegisterGauge("mempool_peak_bytes", s.pool.Peak)
 	r.RegisterGauge("mempool_denials", s.pool.Denials)
@@ -345,11 +336,8 @@ func (s *Server) doStatement(ctx context.Context, sess *Session, req Request) Re
 		return fail(sess.id, qid, ErrDraining)
 	}
 
-	strategy, releaseWorkers := sess.strategy(qid)
-	defer releaseWorkers()
-
 	start := time.Now()
-	resp := s.execute(ctx, sess, req, strategy)
+	resp := s.execute(ctx, sess, req, sess.strategy(qid))
 	resp.Session, resp.QueryID = sess.id, qid
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	return resp

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -86,30 +87,6 @@ func TestAdmissionGate(t *testing.T) {
 	release3()
 }
 
-func TestWorkerPoolClamp(t *testing.T) {
-	w := newWorkerPool(2)
-	got, rel := w.acquire(4)
-	if got != 3 { // 1 implicit + 2 pooled
-		t.Fatalf("got %d workers, want 3", got)
-	}
-	got2, rel2 := w.acquire(4)
-	if got2 != 1 { // pool exhausted — degrade to serial, never block
-		t.Fatalf("got %d workers with exhausted pool, want 1", got2)
-	}
-	rel2()
-	rel()
-	if got3, rel3 := w.acquire(2); got3 != 2 {
-		t.Fatalf("got %d workers after release, want 2", got3)
-	} else {
-		rel3()
-	}
-	if got4, rel4 := w.acquire(1); got4 != 1 {
-		t.Fatalf("serial acquire got %d, want 1", got4)
-	} else {
-		rel4()
-	}
-}
-
 func TestWireErrorMapping(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -175,13 +152,13 @@ func TestServerDo(t *testing.T) {
 	}
 
 	// Session options: valid set reflected in describe, bad ones rejected.
-	if r := srv.Do(ctx, sess, Request{Op: OpSet, Key: "strategy", Value: "nested-parallel"}); !r.OK || !strings.Contains(r.Text, "nested-parallel") {
+	if r := srv.Do(ctx, sess, Request{Op: OpSet, Key: "strategy", Value: "nested-original"}); !r.OK || !strings.Contains(r.Text, "nested-original") {
 		t.Fatalf("set strategy: %+v", r)
 	}
 	if r := srv.Do(ctx, sess, Request{Op: OpSet, Key: "strategy", Value: "bogus"}); r.OK || r.Error.Kind != KindSession {
 		t.Fatalf("set bogus strategy: %+v", r)
 	}
-	for _, kv := range [][2]string{{"2vl", "on"}, {"vectorized", "off"}, {"parallelism", "2"}, {"timeout", "30s"}} {
+	for _, kv := range [][2]string{{"2vl", "on"}, {"vectorized", "off"}, {"timeout", "30s"}} {
 		if r := srv.Do(ctx, sess, Request{Op: OpSet, Key: kv[0], Value: kv[1]}); !r.OK {
 			t.Fatalf("set %s: %+v", kv[0], r)
 		}
@@ -225,6 +202,29 @@ func TestServerDo(t *testing.T) {
 	}
 	if r := srv.Do(ctx, sess, Request{Op: "nonsense"}); r.OK || r.Error.Kind != KindSession {
 		t.Fatalf("unknown op: %+v", r)
+	}
+}
+
+// TestAutoFallbackThroughService sends a query the nested planner
+// cannot decompose (a subquery under OR) through the service. Auto must
+// keep its Reference fallback although the session wires a memory pool
+// and a query tag into the strategy, and return DB.Query's rows.
+func TestAutoFallbackThroughService(t *testing.T) {
+	db := testDB(t)
+	srv := New(Config{DB: db, MemPoolBytes: 1 << 20})
+	sess := srv.OpenSession()
+	const src = "select parent.id from parent where parent.v = 1 or exists (select * from child where child.pid = parent.id and child.w > 7)"
+	want, err := db.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Sort()
+	r := srv.Do(context.Background(), sess, Request{Op: OpQuery, SQL: src})
+	if !r.OK {
+		t.Fatalf("query: %+v", r.Error)
+	}
+	if len(r.Rows) == 0 || !sameRows(r.Rows, want.Rows()) {
+		t.Fatalf("service returned %d rows, DB.Query %d (or they differ)", len(r.Rows), want.NumRows())
 	}
 }
 
@@ -395,6 +395,77 @@ func TestLineProtocol(t *testing.T) {
 	defer c2.Close()
 	if c2.Session() == c.Session() {
 		t.Fatal("sessions not distinct")
+	}
+}
+
+// TestLineClientLargeResponse round-trips a result far over the 1 MiB
+// request bound through ServeLine and DialLine: requests are bounded,
+// responses are not.
+func TestLineClientLargeResponse(t *testing.T) {
+	db := nra.Open()
+	rows := make([][]any, 12000)
+	for i := range rows {
+		rows[i] = []any{i, fmt.Sprintf("%0128d", i)}
+	}
+	db.MustCreateTable("big", []string{"id", "pad"}, "id", rows...)
+	srv := New(Config{DB: db})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeLine(ln)
+	defer ln.Close()
+
+	c, err := DialLine(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Do(Request{Op: OpQuery, SQL: "select big.id, big.pad from big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := json.Marshal(r); len(data) <= maxLine {
+		t.Fatalf("response is %d bytes, want over %d", len(data), maxLine)
+	}
+	if len(r.Rows) != len(rows) {
+		t.Fatalf("got %d rows, want %d", len(r.Rows), len(rows))
+	}
+	// The connection stays usable after the large response.
+	if r, err := c.Do(Request{Op: OpQuery, SQL: "select big.id from big where big.id < 3"}); err != nil || len(r.Rows) != 3 {
+		t.Fatalf("follow-up query: %+v %v", r, err)
+	}
+}
+
+// TestHTTPBodyLimit sends a request body over maxLine: the server must
+// answer with a 4xx JSON WireError and keep serving.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv := New(Config{DB: testDB(t)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	huge := `{"sql": "select parent.id from parent -- ` + strings.Repeat("x", maxLine) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Response
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("oversized body: response is not JSON: %v", err)
+	}
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 || out.OK || out.Error == nil {
+		t.Fatalf("oversized body: status %d, response %+v; want a 4xx WireError", resp.StatusCode, out)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"sql": "select parent.id from parent where parent.id < 3"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || !out.OK || len(out.Rows) != 3 {
+		t.Fatalf("server not serving after an oversized body: %+v %v", out, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,11 +31,10 @@ type Session struct {
 // sessionOpts are the per-session execution defaults, applied to every
 // statement the session runs.
 type sessionOpts struct {
-	strategy    string // name in strategyNames; "" = auto
-	timeout     time.Duration
-	twoVL       bool
-	vectorized  bool
-	parallelism int // 0 = strategy default
+	strategy   string // name in strategyNames; "" = auto
+	timeout    time.Duration
+	twoVL      bool
+	vectorized bool
 }
 
 // strategyNames maps wire names onto strategies; it mirrors the nraql
@@ -45,7 +43,6 @@ var strategyNames = map[string]nra.Strategy{
 	"auto":             nra.Auto,
 	"nested-optimized": nra.NestedOptimized,
 	"nested-original":  nra.NestedOriginal,
-	"nested-parallel":  nra.NestedParallel,
 	"native":           nra.Native,
 	"reference":        nra.Reference,
 }
@@ -57,8 +54,7 @@ func (s *Session) ID() string { return s.id }
 func (s *Session) nextQueryID() uint64 { return s.qid.Add(1) }
 
 // set changes one session default. Supported keys: strategy, timeout
-// (Go duration, 0 = none), 2vl (on/off), vectorized (on/off),
-// parallelism (integer, 0 = default).
+// (Go duration, 0 = none), 2vl (on/off), vectorized (on/off).
 func (s *Session) set(key, value string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,14 +82,8 @@ func (s *Session) set(key, value string) error {
 			return err
 		}
 		s.opts.vectorized = on
-	case "parallelism":
-		n, err := strconv.Atoi(strings.TrimSpace(value))
-		if err != nil || n < 0 {
-			return sessionErrorf("invalid parallelism %q (want a non-negative integer)", value)
-		}
-		s.opts.parallelism = n
 	default:
-		return sessionErrorf("unknown option %q (try strategy, timeout, 2vl, vectorized, parallelism)", key)
+		return sessionErrorf("unknown option %q (try strategy, timeout, 2vl, vectorized)", key)
 	}
 	return nil
 }
@@ -110,12 +100,10 @@ func parseOnOff(v string) (bool, error) {
 }
 
 // strategy builds the statement's strategy from the session defaults
-// plus the server-wide wiring: the requested parallelism is clamped to
-// the worker slots actually granted, working state is charged to the
-// shared memory pool, and the statement is tagged with the session and
-// query IDs. The returned release function gives back the granted
-// worker slots after execution.
-func (s *Session) strategy(qid uint64) (nra.Strategy, func()) {
+// plus the server-wide wiring: working state is charged to the shared
+// memory pool, and the statement is tagged with the session and query
+// IDs.
+func (s *Session) strategy(qid uint64) nra.Strategy {
 	s.mu.Lock()
 	o := s.opts
 	s.mu.Unlock()
@@ -123,14 +111,6 @@ func (s *Session) strategy(qid uint64) (nra.Strategy, func()) {
 	base := nra.Auto
 	if o.strategy != "" {
 		base = strategyNames[o.strategy]
-	}
-	release := func() {}
-	if o.parallelism > 1 {
-		got, rel := s.srv.workers.acquire(o.parallelism)
-		release = rel
-		base = base.WithParallelism(got)
-	} else if o.parallelism == 1 {
-		base = base.WithParallelism(1)
 	}
 	if o.timeout > 0 {
 		base = base.WithTimeout(o.timeout)
@@ -142,8 +122,7 @@ func (s *Session) strategy(qid uint64) (nra.Strategy, func()) {
 		base = base.WithVectorized(true)
 	}
 	base = base.WithMemoryPool(s.srv.pool)
-	base = base.WithQueryTag(s.id, qid)
-	return base, release
+	return base.WithQueryTag(s.id, qid)
 }
 
 // pin pins the session to the current snapshot and returns its epoch.
@@ -223,7 +202,6 @@ func (s *Session) describe() string {
 		pin = fmt.Sprintf("epoch %d", s.pinned.Epoch())
 	}
 	return fmt.Sprintf(
-		"session %s: strategy=%s timeout=%s 2vl=%v vectorized=%v parallelism=%d snapshot=%s prepared=%d",
-		s.id, strat, s.opts.timeout, s.opts.twoVL, s.opts.vectorized,
-		s.opts.parallelism, pin, len(s.prepared))
+		"session %s: strategy=%s timeout=%s 2vl=%v vectorized=%v snapshot=%s prepared=%d",
+		s.id, strat, s.opts.timeout, s.opts.twoVL, s.opts.vectorized, pin, len(s.prepared))
 }

@@ -2,7 +2,7 @@ package service
 
 // Service soak: K concurrent sessions mix queries, DML, ANALYZE and
 // prepared statements over one shared database through the full service
-// path — admission, worker clamping, shared memory pool, plan cache.
+// path — admission, shared memory pool, plan cache.
 // Pinned readers verify snapshot consistency byte-for-byte against a
 // frozen oracle of their own epoch while writers commit continuously;
 // drain must leave no goroutine behind; the plan cache must show hits
@@ -74,7 +74,6 @@ func TestServiceSoak(t *testing.T) {
 		QueueDepth:   256,
 		QueueTimeout: 30 * time.Second,
 		MemPoolBytes: 8 << 20,
-		Workers:      4,
 		Registry:     obsv.NewRegistry(),
 	})
 	baseline := runtime.NumGoroutine()
@@ -91,8 +90,8 @@ func TestServiceSoak(t *testing.T) {
 			defer wg.Done()
 			sess := srv.OpenSession()
 			defer srv.CloseSession(sess)
-			if r%2 == 1 { // half the readers exercise parallel + 2VL paths
-				srv.Do(ctx, sess, Request{Op: OpSet, Key: "parallelism", Value: "2"})
+			if r%2 == 1 { // half the readers run the unoptimized §4.1 plan
+				srv.Do(ctx, sess, Request{Op: OpSet, Key: "strategy", Value: "nested-original"})
 			}
 			for i := 0; i < iters; i++ {
 				pin := srv.Do(ctx, sess, Request{Op: OpPin})

@@ -320,7 +320,7 @@ func (db *DB) QueryWith(src string, s Strategy) (*Result, error) {
 
 // QueryContext is Query with a cancellation context: the query aborts
 // with the context's error at the next operator boundary after ctx is
-// cancelled, with workers drained and spill files removed.
+// cancelled, with spill files removed.
 func (db *DB) QueryContext(ctx context.Context, src string) (*Result, error) {
 	return db.QueryWithContext(ctx, src, Auto)
 }
@@ -408,7 +408,7 @@ func (db *DB) Explain(src string, s Strategy) (string, error) {
 }
 
 func (db *DB) explainQuery(q *sql.Query, s Strategy) (string, error) {
-	switch s.kind {
+	switch s = s.resolve(q); s.kind {
 	case kindNative:
 		ex, err := native.New(q)
 		if err != nil {
@@ -434,13 +434,15 @@ func (db *DB) ExplainAnalyze(src string, s Strategy) (string, error) {
 	if s.kind == kindNative || s.kind == kindReference {
 		return "", fmt.Errorf("nra: EXPLAIN ANALYZE requires a nested strategy")
 	}
-	s = s.promote()
 	st, err := db.analyzeStatement(src)
 	if err != nil {
 		return "", err
 	}
 	if st.Query == nil {
 		return "", fmt.Errorf("nra: EXPLAIN ANALYZE does not support set operations")
+	}
+	if s = s.resolve(st.Query); s.kind == kindReference {
+		return "", fmt.Errorf("nra: EXPLAIN ANALYZE: %w (auto runs it on the uninstrumented reference evaluator)", core.ErrUnsupported)
 	}
 	return core.ExplainAnalyze(st.Query, s.coreOptions())
 }
@@ -451,13 +453,7 @@ func (db *DB) execute(ctx context.Context, q *sql.Query, s Strategy, label strin
 			return nil, err
 		}
 	}
-	if s.kind == kindAuto {
-		if err := core.Supported(q); err != nil {
-			return db.referenceEval(q, s)
-		}
-		s = s.promote()
-	}
-	switch s.kind {
+	switch s = s.resolve(q); s.kind {
 	case kindNative:
 		return native.Execute(q)
 	case kindReference:
@@ -574,17 +570,19 @@ func (s Strategy) withTrace(on bool) Strategy {
 	return s
 }
 
-// promote resolves Auto into NestedOptimized, carrying over the semantic
-// and observability flags (two-valued logic, tracing) already set on the
-// Auto strategy. Non-Auto strategies are returned unchanged.
-func (s Strategy) promote() Strategy {
+// resolve returns the strategy that runs q. Auto runs the nested plan
+// with its options, or Reference (keeping the two-valued-logic flag) when
+// the planner cannot decompose q. Query execution, EXPLAIN and EXPLAIN
+// ANALYZE all resolve through here, so they describe the same plan.
+// Other strategies are returned unchanged.
+func (s Strategy) resolve(q *sql.Query) Strategy {
 	if s.kind != kindAuto {
 		return s
 	}
-	twoVL := s.opts.TwoValuedLogic
+	if core.Supported(q) != nil {
+		return Strategy{kind: kindReference, opts: core.Options{TwoValuedLogic: s.opts.TwoValuedLogic}}
+	}
 	s.kind = kindNested
-	s.opts = core.Optimized()
-	s.opts.TwoValuedLogic = twoVL
 	return s
 }
 
@@ -598,16 +596,13 @@ const (
 // The built-in strategies.
 var (
 	// Auto uses NestedOptimized, falling back to Reference when the
-	// planner cannot decompose the query.
-	Auto = Strategy{kind: kindAuto}
+	// planner cannot decompose the query. The With* methods configure
+	// its nested plan and keep the fallback.
+	Auto = Strategy{kind: kindAuto, opts: core.Optimized()}
 	// NestedOptimized is the paper's approach with every §4.2 optimization.
 	NestedOptimized = Strategy{kind: kindNested, opts: core.Optimized()}
 	// NestedOriginal is the unoptimized Algorithm 1.
 	NestedOriginal = Strategy{kind: kindNested, opts: core.Original()}
-	// NestedParallel is NestedOptimized with the hash-join + nest/linking
-	// pipeline partitioned across all CPUs (see docs/PARALLELISM.md).
-	// Results are byte-identical to NestedOptimized at any degree.
-	NestedParallel = Strategy{kind: kindNested, opts: core.OptimizedParallel()}
 	// Native is the "System A" baseline.
 	Native = Strategy{kind: kindNative}
 	// Reference is the ground-truth tuple-iteration evaluator.
@@ -616,31 +611,16 @@ var (
 
 func (s Strategy) coreOptions() core.Options { return s.opts }
 
-// WithParallelism returns a copy of a nested strategy running the hash-
-// join + nest/linking pipeline with n-way partitioned parallelism (n ≤ 1
-// selects the serial operators; n = 0 is treated as 1). Auto becomes
-// NestedOptimized with the given degree; Native/Reference have no
-// parallel operators and are returned unchanged.
-func (s Strategy) WithParallelism(n int) Strategy {
-	if s.kind == kindNative || s.kind == kindReference {
-		return s
-	}
-	s = s.promote()
-	s.opts.Parallelism = n
-	return s
-}
-
 // WithMemoryBudget returns a copy of a nested strategy whose queries may
 // hold at most bytes of operator working state (hash-join build sides,
 // pre-nest sort copies) in memory; operators exceeding the budget degrade
 // gracefully to spill files with byte-identical results (bytes ≤ 0 =
-// unbounded). Auto becomes NestedOptimized; Native/Reference are not
-// budget-governed and are returned unchanged. See docs/ROBUSTNESS.md.
+// unbounded). Native/Reference are not budget-governed and are returned
+// unchanged. See docs/ROBUSTNESS.md.
 func (s Strategy) WithMemoryBudget(bytes int64) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	if bytes < 0 {
 		bytes = 0
 	}
@@ -650,13 +630,12 @@ func (s Strategy) WithMemoryBudget(bytes int64) Strategy {
 
 // WithTimeout returns a copy of a nested strategy whose queries abort
 // with context.DeadlineExceeded after d (d ≤ 0 = no deadline), observed
-// at operator boundaries with workers drained and spill files removed.
-// Auto becomes NestedOptimized; Native/Reference are returned unchanged.
+// at operator boundaries with spill files removed. Native/Reference are
+// returned unchanged.
 func (s Strategy) WithTimeout(d time.Duration) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	if d < 0 {
 		d = 0
 	}
@@ -668,15 +647,13 @@ func (s Strategy) WithTimeout(d time.Duration) Strategy {
 // physical planning switched on or off. When on (the NestedOptimized
 // default) and every referenced table carries fresh statistics (see
 // DB.Analyze), the planner uses estimated cardinalities to order linking
-// edges, gate the §4.2.5 and §4.2.4 rewrites, pick the parallel degree,
-// and pre-plan operator spills; without fresh statistics it behaves
-// exactly like the heuristic planner. Auto becomes NestedOptimized;
-// Native/Reference are returned unchanged.
+// edges, gate the §4.2.5 and §4.2.4 rewrites and pre-plan operator
+// spills; without fresh statistics it behaves exactly like the heuristic
+// planner. Native/Reference are returned unchanged.
 func (s Strategy) WithCostBased(on bool) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	s.opts.UseStats = on
 	s.opts.CostBased = on
 	return s
@@ -688,16 +665,15 @@ func (s Strategy) WithCostBased(on bool) Strategy {
 // linking selection driven by a typed sort and group-offset arrays.
 // Results are byte-identical to the row operators — the row engine is
 // the parity oracle, enforced by the differential fuzzer. The batch
-// operators apply on the serial in-memory path only (parallelism ≤ 1,
-// no memory budget); operators whose shape has no batch kernel fall
-// back to their row implementations per operator, visible in EXPLAIN
-// as [batch] / [row: reason] annotations. Auto becomes NestedOptimized;
-// Native/Reference are returned unchanged.
+// operators apply on the in-memory path only (no memory budget or pool,
+// no fault hooks); operators whose shape has no batch kernel fall back
+// to their row implementations per operator, visible in EXPLAIN as
+// [batch] / [row: reason] annotations. Native/Reference are returned
+// unchanged.
 func (s Strategy) WithVectorized(on bool) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	s.opts.Vectorized = on
 	return s
 }
@@ -713,7 +689,6 @@ func (s Strategy) WithZoneMapPruning(on bool) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	s.opts.NoZoneMapPruning = !on
 	return s
 }
@@ -741,15 +716,12 @@ func (s Strategy) WithTwoValuedLogic(on bool) Strategy {
 // WithTracing returns a copy of a nested strategy that records a
 // per-operator span tree for every query it executes; read the most
 // recent one with DB.LastTrace. Tracing never changes plan or physical-
-// path decisions, and costs nothing when off. Auto becomes
-// NestedOptimized (the Reference fallback for undecomposable queries is
-// not instrumented); Native/Reference are returned unchanged.
+// path decisions, and costs nothing when off. Auto's Reference fallback
+// for undecomposable queries is not instrumented; Native/Reference are
+// returned unchanged.
 func (s Strategy) WithTracing(on bool) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
-	}
-	if on {
-		s = s.promote()
 	}
 	s.trace = on
 	return s
@@ -763,7 +735,6 @@ func Traced(s Strategy, w io.Writer) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	s.opts.Trace = w
 	return s
 }
@@ -775,8 +746,6 @@ func (s Strategy) String() string {
 		twoVL = " (2VL)"
 	}
 	switch s.kind {
-	case kindAuto:
-		return "auto" + twoVL
 	case kindNative:
 		return "native"
 	case kindReference:
@@ -786,7 +755,6 @@ func (s Strategy) String() string {
 		base := s.opts
 		// Physical, semantic-mode and observability knobs don't change
 		// which paper strategy this is.
-		base.Parallelism = 0
 		base.MemoryBudget = 0
 		base.MemPool = nil
 		base.Timeout = 0
@@ -798,7 +766,9 @@ func (s Strategy) String() string {
 		base.SessionID = ""
 		base.QueryID = 0
 		base.TwoValuedLogic = false
-		if base == core.Original() {
+		if s.kind == kindAuto {
+			name = "auto"
+		} else if base == core.Original() {
 			name = "nested-original"
 		} else if !base.CostBased {
 			heuristic := core.Optimized()
@@ -810,9 +780,6 @@ func (s Strategy) String() string {
 		}
 		if s.opts.Vectorized {
 			name += " (vectorized)"
-		}
-		if s.opts.Parallelism > 1 {
-			name = fmt.Sprintf("%s (parallelism %d)", name, s.opts.Parallelism)
 		}
 		if s.opts.MemoryBudget > 0 {
 			name = fmt.Sprintf("%s (mem %d)", name, s.opts.MemoryBudget)

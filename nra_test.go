@@ -122,6 +122,37 @@ func TestExplainAllStrategies(t *testing.T) {
 	}
 }
 
+// TestExplainAutoMatchesExecution pins EXPLAIN under Auto to the plan
+// Query runs: the optimized nested plan for a supported query, and the
+// reference evaluator for one the planner cannot decompose.
+func TestExplainAutoMatchesExecution(t *testing.T) {
+	db := deptDB(t)
+	corr := "select name from emp e where e.salary > all (select e2.salary from emp e2 where e2.dept = e.dept)"
+	auto, err := db.Explain(corr, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := db.Explain(corr, NestedOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto != opt {
+		t.Errorf("Explain(Auto) differs from the NestedOptimized plan Query runs:\nauto:\n%s\noptimized:\n%s", auto, opt)
+	}
+	if got, err := db.Explain(corr, Auto.WithTwoValuedLogic(true)); err != nil || !strings.Contains(got, "two-valued logic") {
+		t.Errorf("Explain(Auto 2VL) = %q, %v; want the 2VL nested plan", got, err)
+	}
+
+	underOr := "select name from emp e where e.dept = 30 or exists (select * from dept d where d.dno = e.dept and d.dname = 'ops')"
+	ref, err := db.Explain(underOr, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "reference: direct nested-iteration over the AST\n"; ref != want {
+		t.Errorf("Explain(Auto) on an undecomposable query = %q, want %q", ref, want)
+	}
+}
+
 func TestErrorsSurface(t *testing.T) {
 	db := deptDB(t)
 	if _, err := db.Query("select nope from emp"); err == nil {
@@ -361,9 +392,9 @@ func TestGovernedStrategies(t *testing.T) {
 	}
 	governed := []Strategy{
 		NestedOptimized.WithMemoryBudget(64 << 10),
-		NestedOptimized.WithMemoryBudget(1 << 20).WithParallelism(4),
+		NestedOptimized.WithMemoryBudget(1 << 20),
 		NestedOptimized.WithTimeout(time.Minute),
-		Auto.WithMemoryBudget(64 << 10), // Auto promotes to NestedOptimized
+		Auto.WithMemoryBudget(64 << 10), // Auto's nested plan, governed
 	}
 	for _, s := range governed {
 		got, err := db.QueryWith(src, s)

@@ -206,14 +206,13 @@ func (p *MemPool) Denials() int64 {
 
 // WithMemoryPool returns a copy of a nested strategy whose queries
 // charge working state against the shared pool (see MemPool) in
-// addition to any per-query WithMemoryBudget bound. Auto becomes
-// NestedOptimized; Native/Reference are not budget-governed and are
-// returned unchanged. A nil pool removes the wiring.
+// addition to any per-query WithMemoryBudget bound. Native/Reference
+// are not budget-governed and are returned unchanged. A nil pool removes
+// the wiring.
 func (s Strategy) WithMemoryPool(p *MemPool) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	if p == nil {
 		s.opts.MemPool = nil
 	} else {
@@ -232,7 +231,6 @@ func (s Strategy) WithQueryTag(session string, queryID uint64) Strategy {
 	if s.kind == kindNative || s.kind == kindReference {
 		return s
 	}
-	s = s.promote()
 	s.opts.SessionID = session
 	s.opts.QueryID = queryID
 	return s
