@@ -89,12 +89,6 @@ func NotExistsPred(sub, presence string) LinkPred {
 	return LinkPred{Sub: sub, Presence: presence, Empty: IsEmpty}
 }
 
-// AggPred builds the scalar-aggregate comparison A θ agg{B}. For
-// COUNT(*), linked may be empty.
-func AggPred(attr string, op expr.CmpOp, fn AggFunc, sub, linked, presence string) LinkPred {
-	return LinkPred{Attr: attr, Op: op, Agg: fn, Sub: sub, Linked: linked, Presence: presence}
-}
-
 // String renders the predicate in the paper's notation, e.g.
 // "S.H >ALL {T.J}" or "{lineitem} = ∅".
 func (p LinkPred) String() string {

@@ -105,7 +105,7 @@ func (t *Table) VecColumn(c int) *vec.Vector {
 // colstore.PruneGroups): on a segment-backed version only the
 // remaining groups are decoded, and the skipped regions of the shared
 // vector stay undecoded until some later scan needs them. The scan
-// must not read rows of skipped groups — exec.VecScan's SegPrune
+// must not read rows of skipped groups — exec.VecReduce's SegPrune
 // windows guarantee that. skip is ignored for row-store tables.
 func (t *Table) VecColumnPruned(c int, skip []bool) *vec.Vector {
 	t.vecMu.Lock()

@@ -110,12 +110,6 @@ func (r *Reader) Footer() *Footer { return r.ft }
 // Rows returns the segment's row count.
 func (r *Reader) Rows() int { return r.ft.Rows }
 
-// NumCols returns the segment's column count.
-func (r *Reader) NumCols() int { return len(r.ft.Cols) }
-
-// SizeBytes returns the byte size of the segment image.
-func (r *Reader) SizeBytes() int { return len(r.data) }
-
 // Column decodes column c across every row group into one full-height
 // vector, observationally identical to vec.ColumnVector over the
 // original rows.

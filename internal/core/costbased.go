@@ -327,13 +327,6 @@ func (p *planner) estAfter(edge *sql.LinkEdge) float64 {
 	return -1
 }
 
-func (p *planner) estOuter(edge *sql.LinkEdge) float64 {
-	if ee, ok := p.edgeEst[edge]; ok {
-		return ee.outer
-	}
-	return -1
-}
-
 // estCard returns a block's estimated reduced cardinality, or -1.
 func (p *planner) estCard(b *sql.Block) float64 {
 	if p.est == nil {

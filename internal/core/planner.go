@@ -247,7 +247,7 @@ func (p *planner) seq(ns ...int) {
 // reduce produces T_i = σ_{θ_i}(R_i): the block's tables joined on the
 // local predicates with selections pushed down, projected to the block's
 // needed columns (§4.1 step 1). Single-table blocks — the common case —
-// run as one pipelined scan→filter→project pass; multi-table blocks join
+// run as one scan→filter→project pass; multi-table blocks join
 // with selections pushed to each side.
 func (p *planner) reduce(b *sql.Block) (*relation.Relation, error) {
 	if len(b.Tables) == 1 {
@@ -355,8 +355,9 @@ func (p *planner) reduce(b *sql.Block) (*relation.Relation, error) {
 	return out, nil
 }
 
-// reduceSingle is the pipelined single-table reduction: one pass, no
-// intermediate materialisation between selection and projection.
+// reduceSingle is the single-table reduction: one pass (exec.Reduce or,
+// when vectorized, exec.VecReduce), no intermediate materialisation
+// between selection and projection.
 func (p *planner) reduceSingle(b *sql.Block) (*relation.Relation, error) {
 	bt := b.Tables[0]
 	base := &relation.Relation{Schema: bt.Schema, Tuples: bt.Table.Rel.Tuples}
@@ -386,7 +387,7 @@ func (p *planner) reduceSingle(b *sql.Block) (*relation.Relation, error) {
 	}
 	if out == nil {
 		var err error
-		out, err = exec.Drain(p.ec, exec.NewProject(exec.NewFilter(exec.NewScan(base), local), p.needed[b.ID]))
+		out, err = exec.Reduce(p.ec, base, local, p.needed[b.ID])
 		if err != nil {
 			return nil, err
 		}

@@ -107,11 +107,10 @@ type Stats struct {
 	SpillBytes int64 // bytes written to spill files
 }
 
-// ExecContext is the per-query execution context threaded through the
-// iterator contract and every physical operator: the query's
-// cancellation, its budget and spill ledger, and its temp directory. The
-// zero value is not usable; construct with NewExecContext or use
-// Background.
+// ExecContext is the per-query execution context passed to every
+// physical operator: the query's cancellation, its budget and spill
+// ledger, and its temp directory. The zero value is not usable;
+// construct with NewExecContext or use Background.
 type ExecContext struct {
 	limits Limits
 
@@ -203,9 +202,6 @@ func (ec *ExecContext) Governed() bool {
 	return ec.limits.MemoryBudget > 0 || ec.limits.MemPool != nil ||
 		ec.limits.Hooks != nil || ec.ctx.Done() != nil
 }
-
-// Budget returns the memory budget in bytes (0 = unbounded).
-func (ec *ExecContext) Budget() int64 { return ec.limits.MemoryBudget }
 
 // Tracing reports whether the context carries a tracer. Operators use it
 // to skip label formatting; span methods themselves are nil-safe and

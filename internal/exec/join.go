@@ -179,3 +179,39 @@ func nullNested(s *relation.Schema) relation.Tuple {
 	}
 	return t
 }
+
+// extractEquiKeys mirrors algebra's equi-conjunct extraction: the
+// equi-join key columns of an AND-tree join condition and the residual
+// (non-equi) conjuncts, shared by Join and VecHashJoin.
+func extractEquiKeys(on expr.Expr, ls, rs *relation.Schema) (lk, rk []int, residual expr.Expr) {
+	var rest []expr.Expr
+	var walk func(e expr.Expr)
+	walk = func(e expr.Expr) {
+		if l, ok := e.(expr.Logic); ok && l.Op == expr.OpAnd {
+			walk(l.L)
+			walk(l.R)
+			return
+		}
+		if c, ok := e.(expr.Cmp); ok && c.Op == expr.Eq {
+			lc, lok := c.L.(expr.Column)
+			rc, rok := c.R.(expr.Column)
+			if lok && rok {
+				li, ri := ls.ColIndex(lc.Name), rs.ColIndex(rc.Name)
+				if li >= 0 && ri >= 0 && rs.ColIndex(lc.Name) < 0 && ls.ColIndex(rc.Name) < 0 {
+					lk, rk = append(lk, li), append(rk, ri)
+					return
+				}
+				li, ri = ls.ColIndex(rc.Name), rs.ColIndex(lc.Name)
+				if li >= 0 && ri >= 0 && rs.ColIndex(rc.Name) < 0 && ls.ColIndex(lc.Name) < 0 {
+					lk, rk = append(lk, li), append(rk, ri)
+					return
+				}
+			}
+		}
+		rest = append(rest, e)
+	}
+	if on != nil {
+		walk(on)
+	}
+	return lk, rk, expr.And(rest...)
+}

@@ -149,36 +149,3 @@ func TestJoinNestedGroups(t *testing.T) {
 		mustEqualSeq(t, "nested "+name, got, want)
 	}
 }
-
-// TestHashJoinClosesBothInputs guards the iterator contract: Close must
-// release the build side too, not only the probe side.
-func TestHashJoinClosesBothInputs(t *testing.T) {
-	l := relation.MustFromRows("l", []string{"a"}, []any{1}, []any{2})
-	r := relation.MustFromRows("r", []string{"b"}, []any{2}, []any{3})
-	lc := &closeCounter{Iterator: NewScan(l)}
-	rc := &closeCounter{Iterator: NewScan(r)}
-	h := NewHashJoin(lc, rc, expr.Compare(expr.Eq, expr.Col("a"), expr.Col("b")), false)
-	out, err := Drain(Background(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 {
-		t.Fatalf("join returned %d tuples, want 1", out.Len())
-	}
-	if lc.closed == 0 {
-		t.Error("left input never closed")
-	}
-	if rc.closed == 0 {
-		t.Error("right (build) input never closed")
-	}
-}
-
-type closeCounter struct {
-	Iterator
-	closed int
-}
-
-func (c *closeCounter) Close() error {
-	c.closed++
-	return c.Iterator.Close()
-}

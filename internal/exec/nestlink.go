@@ -1,7 +1,10 @@
-// Package exec implements the physical, pipelined execution operators of
-// the optimized nested relational approach: the fused nest + linking
-// selection of §4.2.2 (one pass instead of two) and the fully fused
-// multi-level nest chain of §4.2.1, where only the first nest physically
+// Package exec implements the physical execution operators of the
+// optimized nested relational approach. Every operator is a function
+// that takes whole relations and returns a materialised relation, as
+// the paper's Algorithm 1 evaluates one operator at a time. Pipelining
+// happens inside an operator, not between operators: the fused nest +
+// linking selection of §4.2.2 (one pass instead of two) and the fully
+// fused multi-level nest chain of §4.2.1, where only the first nest physically
 // reorders tuples and all higher-level nests are conceptual — a single
 // sort followed by a single scan evaluates every linking predicate of a
 // linear query.

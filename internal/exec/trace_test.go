@@ -3,51 +3,55 @@ package exec
 import (
 	"testing"
 
+	"nra/internal/expr"
 	"nra/internal/obsv"
 	"nra/internal/relation"
 )
 
 // TestDisabledTracingZeroAlloc pins the pay-for-use guarantee: with no
-// tracer installed, the per-tuple hot path — scan iteration plus the
-// span bookkeeping calls every operator makes — performs zero
-// allocations. All span methods are nil-receiver no-ops.
+// tracer installed, the span bookkeeping calls every operator makes
+// perform zero allocations (all span methods are nil-receiver no-ops),
+// and an untraced Reduce allocates nothing per scanned tuple — its
+// allocation count does not grow with the input.
 func TestDisabledTracingZeroAlloc(t *testing.T) {
-	rel := relation.MustFromRows("r", []string{"a", "b"},
-		[]any{1, 2}, []any{3, 4}, []any{5, 6}, []any{7, 8})
 	ec := NewExecContext(nil, Limits{})
 	defer ec.Close()
 	if ec.Tracing() {
 		t.Fatal("untraced context reports Tracing() = true")
 	}
 
-	s := NewScan(rel)
-	if err := s.Open(ec); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.pos = 0
-		for {
-			_, ok, err := s.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-		}
-		// The span calls every operator makes: all no-ops on the nil
-		// span of an untraced context.
 		sp := ec.StartSpan("x", obsv.KindScan)
 		sp.AddRowsIn(1)
 		sp.AddRowsOut(1)
 		sp.AddBytes(64)
+		sp.AddBatches(1)
 		sp.NoteSpill(0)
 		sp.SetKind(obsv.KindExtSort)
 		sp.End()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates: %.1f allocs/run, want 0", allocs)
+	}
+
+	// A predicate no tuple passes isolates the scan loop from output
+	// growth: whatever Reduce allocates is per call, not per tuple.
+	reduceAllocs := func(n int) float64 {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{i, i}
+		}
+		rel := relation.MustFromRows("r", []string{"a", "b"}, rows...)
+		pred := expr.Compare(expr.Lt, expr.Col("a"), expr.Val(-1))
+		return testing.AllocsPerRun(100, func() {
+			out, err := Reduce(ec, rel, pred, []string{"b"})
+			if err != nil || out.Len() != 0 {
+				t.Fatalf("reduce: %d tuples, err %v", out.Len(), err)
+			}
+		})
+	}
+	if small, large := reduceAllocs(4), reduceAllocs(4096); large > small {
+		t.Errorf("untraced Reduce allocations grow with input: %.1f at 4 rows, %.1f at 4096", small, large)
 	}
 }
 
@@ -65,19 +69,20 @@ func TestTracerDoesNotGovern(t *testing.T) {
 	}
 }
 
-// TestTracedScanCounts verifies a traced scan records its input and
-// consumed cardinalities on its span.
+// TestTracedScanCounts verifies a traced Reduce records a scan span with
+// its input and scanned cardinalities (rows out counts tuples read, not
+// tuples passing the filter).
 func TestTracedScanCounts(t *testing.T) {
 	rel := relation.MustFromRows("r", []string{"a"}, []any{1}, []any{2}, []any{3})
 	tr := obsv.NewTracer()
 	ec := NewExecContext(nil, Limits{Tracer: tr})
 	defer ec.Close()
-	out, err := Drain(ec, NewScan(rel))
+	out, err := Reduce(ec, rel, expr.Compare(expr.Gt, expr.Col("a"), expr.Val(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 3 {
-		t.Fatalf("drained %d tuples, want 3", out.Len())
+	if out.Len() != 2 {
+		t.Fatalf("reduced to %d tuples, want 2", out.Len())
 	}
 	rec := tr.Finish()
 	scan := rec.Find(obsv.KindScan)

@@ -6,30 +6,12 @@ import (
 	"nra/internal/expr"
 	"nra/internal/obsv"
 	"nra/internal/relation"
-	"nra/internal/value"
 	"nra/internal/vec"
 )
 
 // BatchSize is the number of rows per batch window. It is a multiple of
 // 64 so NULL-bitmap windows slice on word boundaries.
 const BatchSize = 1024
-
-// BatchIterator is the batch-at-a-time companion of Iterator: NextBatch
-// returns the next window of rows (nil at end of stream). The same
-// Open/Close discipline applies; batches share the underlying column
-// vectors, so a batch is only valid until the relation it views is
-// mutated (relations are immutable during query execution).
-type BatchIterator interface {
-	// Open prepares the iterator under the given execution context.
-	Open(ec *ExecContext) error
-	// NextBatch returns the next batch, or nil at end of stream.
-	NextBatch() (*vec.Batch, error)
-	// Close releases resources; it must be called exactly once after a
-	// successful Open.
-	Close() error
-	// Schema describes the produced columns.
-	Schema() *relation.Schema
-}
 
 // SegPrune tells a scan which segment row groups its predicate has
 // already disproved via zone maps (colstore.PruneGroups): group g
@@ -53,340 +35,9 @@ func (p *SegPrune) skips(r int) bool {
 	return g < len(p.Skip) && p.Skip[g]
 }
 
-// VecScan produces batch windows over a flat materialized relation —
-// the vectorized counterpart of Scan. Construct with NewVecScan.
-type VecScan struct {
-	rel   *relation.Relation
-	batch *vec.Batch
-	pos   int
-	prune *SegPrune
-	read  int // rows actually windowed (excludes pruned groups)
-	ec    *ExecContext
-	sp    *obsv.Span
-}
-
-// NewVecScan converts rel into column vectors and returns the scan.
-// ok is false when the relation has nested attributes, which the batch
-// representation does not model.
-func NewVecScan(rel *relation.Relation) (s *VecScan, ok bool) {
-	return NewVecScanCols(rel, nil)
-}
-
-// NewVecScanCols is NewVecScan restricted to the columns marked in
-// needed (nil = all): pruned columns stay nil in every batch, so the
-// downstream pipeline must never touch them.
-func NewVecScanCols(rel *relation.Relation, needed []bool) (s *VecScan, ok bool) {
-	b, ok := vec.FromRelationCols(rel, needed)
-	if !ok {
-		return nil, false
-	}
-	return &VecScan{rel: rel, batch: b}, true
-}
-
-// NewVecScanSrc is NewVecScanCols with an external column source:
-// colsrc, when non-nil, supplies each needed column's vector — the
-// catalog's memoized per-version column store — so repeated scans of
-// the same table version skip the row-to-column conversion entirely.
-func NewVecScanSrc(rel *relation.Relation, needed []bool, colsrc func(int) *vec.Vector) (s *VecScan, ok bool) {
-	if colsrc == nil {
-		return NewVecScanCols(rel, needed)
-	}
-	if len(rel.Schema.Subs) > 0 {
-		return nil, false
-	}
-	cols := make([]*vec.Vector, len(rel.Schema.Cols))
-	for c := range cols {
-		if needed == nil || needed[c] {
-			cols[c] = colsrc(c)
-		}
-	}
-	b := &vec.Batch{Schema: rel.Schema, Cols: cols, Start: 0, End: rel.Len()}
-	return &VecScan{rel: rel, batch: b}, true
-}
-
-// SetPrune installs a zone-map skip set (see SegPrune). Must be called
-// before Open; ignored when p is nil, p.GroupRows is not a positive
-// multiple of 64, or p.Skip is empty.
-func (s *VecScan) SetPrune(p *SegPrune) {
-	if p == nil || p.GroupRows <= 0 || p.GroupRows%64 != 0 || len(p.Skip) == 0 {
-		return
-	}
-	s.prune = p
-}
-
-// Open implements BatchIterator.
-func (s *VecScan) Open(ec *ExecContext) error {
-	s.ec = ec
-	s.pos = 0
-	s.read = 0
-	if ec.Tracing() {
-		s.sp = ec.StartSpan("scan "+s.rel.Schema.Name, obsv.KindScan)
-	}
-	return nil
-}
-
-// NextBatch implements BatchIterator, yielding BatchSize-row windows.
-// With a SegPrune installed, windows additionally clamp to row-group
-// boundaries and pruned groups are jumped without touching their
-// vectors — the payoff of zone maps: column bytes for skipped groups
-// are never decoded, because the catalog's lazy column store only
-// materializes what a scan window reads.
-func (s *VecScan) NextBatch() (*vec.Batch, error) {
-	n := s.rel.Len()
-	for s.prune != nil && s.pos < n && s.prune.skips(s.pos) {
-		s.pos = (s.pos/s.prune.GroupRows + 1) * s.prune.GroupRows
-	}
-	if s.pos >= n {
-		return nil, nil
-	}
-	if err := s.ec.Check("scan"); err != nil {
-		return nil, err
-	}
-	end := s.pos + BatchSize
-	if s.prune != nil {
-		if gEnd := (s.pos/s.prune.GroupRows + 1) * s.prune.GroupRows; end > gEnd {
-			end = gEnd
-		}
-	}
-	if end > n {
-		end = n
-	}
-	w := &vec.Batch{Schema: s.batch.Schema, Cols: s.batch.Cols, Start: s.pos, End: end}
-	s.read += end - s.pos
-	s.pos = end
-	s.sp.AddBatches(1)
-	return w, nil
-}
-
-// Close implements BatchIterator.
-func (s *VecScan) Close() error {
-	if s.sp != nil {
-		s.sp.AddRowsIn(int64(s.rel.Len()))
-		s.sp.AddRowsOut(int64(s.read))
-		s.sp.End()
-		s.sp = nil
-	}
-	return nil
-}
-
-// Schema implements BatchIterator.
-func (s *VecScan) Schema() *relation.Schema { return s.rel.Schema }
-
-// VecFilter narrows each batch's selection vector to the rows where the
-// compiled predicate kernel is True — the vectorized counterpart of
-// Filter. A nil Pred passes batches through unchanged.
-type VecFilter struct {
-	// In is the input batch stream.
-	In BatchIterator
-	// Pred is the compiled predicate kernel; nil = no filtering.
-	Pred *vec.Pred
-}
-
-// Open implements BatchIterator.
-func (f *VecFilter) Open(ec *ExecContext) error { return f.In.Open(ec) }
-
-// NextBatch implements BatchIterator.
-func (f *VecFilter) NextBatch() (*vec.Batch, error) {
-	b, err := f.In.NextBatch()
-	if err != nil || b == nil || f.Pred == nil {
-		return b, err
-	}
-	tv, err := f.Pred.Eval(b.Cols, b.Start, b.End)
-	if err != nil {
-		return nil, fmt.Errorf("filter: %w", err)
-	}
-	sel := make([]int32, 0, b.Rows())
-	if b.Sel == nil {
-		for i := b.Start; i < b.End; i++ {
-			if tv.True.Get(i - b.Start) {
-				sel = append(sel, int32(i))
-			}
-		}
-	} else {
-		for _, s := range b.Sel {
-			if tv.True.Get(int(s) - b.Start) {
-				sel = append(sel, s)
-			}
-		}
-	}
-	b.Sel = sel
-	return b, nil
-}
-
-// Close implements BatchIterator.
-func (f *VecFilter) Close() error { return f.In.Close() }
-
-// Schema implements BatchIterator.
-func (f *VecFilter) Schema() *relation.Schema { return f.In.Schema() }
-
-// VecProject narrows each batch to the named columns, sharing the
-// underlying vectors — the vectorized counterpart of Project.
-type VecProject struct {
-	// In is the input batch stream.
-	In BatchIterator
-	// Cols names the output columns, resolved against In's schema.
-	Cols []string
-
-	idx    []int
-	schema *relation.Schema
-}
-
-// Open implements BatchIterator, resolving the projection columns.
-func (p *VecProject) Open(ec *ExecContext) error {
-	if err := p.In.Open(ec); err != nil {
-		return err
-	}
-	in := p.In.Schema()
-	p.idx = make([]int, len(p.Cols))
-	p.schema = &relation.Schema{Name: in.Name}
-	for i, c := range p.Cols {
-		j := in.ColIndex(c)
-		if j < 0 {
-			return fmt.Errorf("project: no column %q in %s", c, in)
-		}
-		p.idx[i] = j
-		p.schema.Cols = append(p.schema.Cols, in.Cols[j])
-	}
-	return nil
-}
-
-// NextBatch implements BatchIterator.
-func (p *VecProject) NextBatch() (*vec.Batch, error) {
-	b, err := p.In.NextBatch()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	cols := make([]*vec.Vector, len(p.idx))
-	for i, j := range p.idx {
-		cols[i] = b.Cols[j]
-	}
-	return &vec.Batch{Schema: p.schema, Cols: cols, Start: b.Start, End: b.End, Sel: b.Sel}, nil
-}
-
-// Close implements BatchIterator.
-func (p *VecProject) Close() error { return p.In.Close() }
-
-// Schema implements BatchIterator.
-func (p *VecProject) Schema() *relation.Schema { return p.schema }
-
-// DrainBatches runs a batch pipeline to completion and materializes the
-// selected rows, preserving order — the batch counterpart of Drain.
-func DrainBatches(ec *ExecContext, it BatchIterator) (*relation.Relation, error) {
-	if err := it.Open(ec); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	out := relation.New(it.Schema())
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		b.ForEachRow(func(i int) { b.AppendTuple(out, i) })
-	}
-}
-
-// BatchesFromRows adapts a row iterator into a batch stream by pulling
-// up to BatchSize tuples at a time and converting them to columns — the
-// row→batch side of the per-operator adapter pair.
-type BatchesFromRows struct {
-	// In is the row stream to adapt.
-	In Iterator
-
-	ec  *ExecContext
-	eos bool
-}
-
-// Open implements BatchIterator.
-func (a *BatchesFromRows) Open(ec *ExecContext) error {
-	a.ec = ec
-	a.eos = false
-	return a.In.Open(ec)
-}
-
-// NextBatch implements BatchIterator, converting up to BatchSize rows.
-func (a *BatchesFromRows) NextBatch() (*vec.Batch, error) {
-	if a.eos {
-		return nil, nil
-	}
-	buf := relation.New(a.In.Schema())
-	for buf.Len() < BatchSize {
-		t, ok, err := a.In.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			a.eos = true
-			break
-		}
-		buf.Append(t)
-	}
-	if buf.Len() == 0 {
-		return nil, nil
-	}
-	b, ok := vec.FromRelation(buf)
-	if !ok {
-		return nil, fmt.Errorf("vec: nested input cannot batch")
-	}
-	return b, nil
-}
-
-// Close implements BatchIterator.
-func (a *BatchesFromRows) Close() error { return a.In.Close() }
-
-// Schema implements BatchIterator.
-func (a *BatchesFromRows) Schema() *relation.Schema { return a.In.Schema() }
-
-// RowsFromBatches adapts a batch stream back into a row iterator — the
-// batch→row side of the per-operator adapter pair, letting a row
-// operator consume a vectorized subtree.
-type RowsFromBatches struct {
-	// In is the batch stream to adapt.
-	In BatchIterator
-
-	cur  *vec.Batch
-	rows []int32
-	pos  int
-}
-
-// Open implements Iterator.
-func (a *RowsFromBatches) Open(ec *ExecContext) error { return a.In.Open(ec) }
-
-// Next implements Iterator, boxing one selected row per call.
-func (a *RowsFromBatches) Next() (relation.Tuple, bool, error) {
-	for a.cur == nil || a.pos >= len(a.rows) {
-		b, err := a.In.NextBatch()
-		if err != nil {
-			return relation.Tuple{}, false, err
-		}
-		if b == nil {
-			return relation.Tuple{}, false, nil
-		}
-		a.cur = b
-		a.rows = a.rows[:0]
-		b.ForEachRow(func(i int) { a.rows = append(a.rows, int32(i)) })
-		a.pos = 0
-	}
-	i := int(a.rows[a.pos])
-	a.pos++
-	atoms := make([]value.Value, len(a.cur.Cols))
-	for c, v := range a.cur.Cols {
-		atoms[c] = v.Value(i)
-	}
-	return relation.Tuple{Atoms: atoms}, true, nil
-}
-
-// Close implements Iterator.
-func (a *RowsFromBatches) Close() error { return a.In.Close() }
-
-// Schema implements Iterator.
-func (a *RowsFromBatches) Schema() *relation.Schema { return a.In.Schema() }
-
 // VecReduce is the vectorized single-table block reduction — the batch
-// counterpart of the row engine's scan→filter→project Drain. The
+// counterpart of Reduce: scan window → predicate kernel → selection →
+// projection, one ec.Check("scan") per window. The
 // surviving rows are gathered into dense typed columns, so no row is
 // boxed until the final materialization; the output batch ob is
 // returned alongside the relation so downstream batch operators can
@@ -423,60 +74,119 @@ func VecReduce(ec *ExecContext, base *relation.Relation, pred expr.Expr, cols []
 		}
 		needed[j] = true
 	}
-	scan, ok := NewVecScanSrc(base, needed, colsrc)
+	src, ok := vecColumns(base, needed, colsrc)
 	if !ok {
 		return nil, nil, "nested input", nil
 	}
-	if vp != nil {
-		// Sound only because the filter below would reject every row of
-		// a pruned group anyway; without a compiled predicate no groups
-		// were proved prunable (PruneGroups needs the same predicate).
-		scan.SetPrune(prune)
+	n, read, batches := base.Len(), 0, 0
+	if ec.Tracing() {
+		sp := ec.StartSpan("scan "+base.Schema.Name, obsv.KindScan)
+		defer func() {
+			sp.AddBatches(int64(batches))
+			sp.AddRowsIn(int64(n))
+			sp.AddRowsOut(int64(read))
+			sp.End()
+		}()
 	}
-	it := &VecProject{In: &VecFilter{In: scan, Pred: vp}, Cols: cols}
-	if err := it.Open(ec); err != nil {
-		return nil, nil, "", err
-	}
-	defer it.Close()
-	// The projected vectors are the same full-height columns in every
-	// window; accumulate the selected absolute rows across windows.
-	var full []*vec.Vector
-	sel := make([]int32, 0, base.Len())
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, nil, "", err
+	schema := &relation.Schema{Name: base.Schema.Name}
+	full := make([]*vec.Vector, len(cols))
+	for i, c := range cols {
+		j := base.Schema.ColIndex(c)
+		if j < 0 {
+			return nil, nil, "", fmt.Errorf("project: no column %q in %s", c, base.Schema)
 		}
-		if b == nil {
+		schema.Cols = append(schema.Cols, base.Schema.Cols[j])
+		full[i] = src[j]
+	}
+	// Zone-map pruning is sound only because the predicate would reject
+	// every row of a pruned group anyway; without a compiled predicate
+	// no groups were proved prunable (PruneGroups needs the same
+	// predicate).
+	if vp == nil || prune == nil || prune.GroupRows <= 0 || prune.GroupRows%64 != 0 || len(prune.Skip) == 0 {
+		prune = nil
+	}
+	// Scan BatchSize-row windows, clamped to row-group boundaries under
+	// pruning; pruned groups are jumped without touching their vectors —
+	// the catalog's lazy column store only decodes what a window reads.
+	// The projected vectors are the same full-height columns in every
+	// window, so only the selected absolute rows accumulate.
+	sel := make([]int32, 0, n)
+	for pos := 0; ; {
+		for pos < n && prune.skips(pos) {
+			pos = (pos/prune.GroupRows + 1) * prune.GroupRows
+		}
+		if pos >= n {
 			break
 		}
-		full = b.Cols
-		if b.Sel != nil {
-			sel = append(sel, b.Sel...)
-		} else {
-			for i := b.Start; i < b.End; i++ {
+		if err := ec.Check("scan"); err != nil {
+			return nil, nil, "", err
+		}
+		end := min(pos+BatchSize, n)
+		if prune != nil {
+			end = min(end, (pos/prune.GroupRows+1)*prune.GroupRows)
+		}
+		batches++
+		read += end - pos
+		if vp == nil {
+			for i := pos; i < end; i++ {
 				sel = append(sel, int32(i))
 			}
+		} else {
+			tv, err := vp.Eval(src, pos, end)
+			if err != nil {
+				return nil, nil, "", fmt.Errorf("filter: %w", err)
+			}
+			for i := pos; i < end; i++ {
+				if tv.True.Get(i - pos) {
+					sel = append(sel, int32(i))
+				}
+			}
 		}
+		pos = end
 	}
-	if full == nil {
-		// Empty input: no window was produced; empty boxed columns keep
+	if read == 0 {
+		// Empty input: no window was scanned; empty boxed columns keep
 		// the batch well-formed for downstream operators.
-		full = make([]*vec.Vector, len(it.Schema().Cols))
 		for i := range full {
 			full[i] = vec.FromValues(nil)
 		}
 	}
-	if len(sel) == base.Len() && base.Len() > 0 {
+	if len(sel) == n && n > 0 {
 		// Nothing filtered: the projected full-height vectors are the
 		// output as-is.
-		ob = &vec.Batch{Schema: it.Schema(), Cols: full, Start: 0, End: base.Len()}
+		ob = &vec.Batch{Schema: schema, Cols: full, Start: 0, End: n}
 	} else {
 		gathered := make([]*vec.Vector, len(full))
 		for i, v := range full {
 			gathered[i] = vec.Gather(v, sel)
 		}
-		ob = &vec.Batch{Schema: it.Schema(), Cols: gathered, Start: 0, End: len(sel)}
+		ob = &vec.Batch{Schema: schema, Cols: gathered, Start: 0, End: len(sel)}
 	}
 	return ob.ToRelation(), ob, "", nil
+}
+
+// vecColumns returns base's column vectors for the columns marked in
+// needed (nil = all); unmarked columns stay nil. colsrc, when non-nil,
+// supplies each vector — the catalog's memoized per-version column
+// store — so repeated scans of one table version skip the row-to-column
+// conversion. ok is false for nested input, which the batch
+// representation does not model.
+func vecColumns(base *relation.Relation, needed []bool, colsrc func(int) *vec.Vector) (cols []*vec.Vector, ok bool) {
+	if colsrc == nil {
+		b, ok := vec.FromRelationCols(base, needed)
+		if !ok {
+			return nil, false
+		}
+		return b.Cols, true
+	}
+	if len(base.Schema.Subs) > 0 {
+		return nil, false
+	}
+	cols = make([]*vec.Vector, len(base.Schema.Cols))
+	for c := range cols {
+		if needed == nil || needed[c] {
+			cols[c] = colsrc(c)
+		}
+	}
+	return cols, true
 }

@@ -7,15 +7,6 @@ import (
 	"nra/internal/vec"
 )
 
-// EquiKeys reports the equi-join key columns extractable from an
-// AND-tree join condition and the residual (non-equi) conjuncts, if
-// any. It is the shape gate of the vectorized hash join, exported so
-// the planner's EXPLAIN can annotate join operators without running
-// them.
-func EquiKeys(on expr.Expr, ls, rs *relation.Schema) (lk, rk []int, residual expr.Expr) {
-	return extractEquiKeys(on, ls, rs)
-}
-
 // VecHashJoin is the batched-probe hash equi-join: the build side is
 // hashed once with the vectorized key hasher, then the probe side is
 // processed in BatchSize windows, verifying bucket candidates with the

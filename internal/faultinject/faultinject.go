@@ -114,15 +114,6 @@ func (in *Injector) ArmAt(pt Point) *Injector {
 	return in
 }
 
-// AllocCalls reports how many reservations the query made.
-func (in *Injector) AllocCalls() int64 { return in.allocs.Load() }
-
-// CheckCalls reports how many checkpoints the query passed.
-func (in *Injector) CheckCalls() int64 { return in.checks.Load() }
-
-// SpillIOCalls reports how many spill-file operations the query made.
-func (in *Injector) SpillIOCalls() int64 { return in.spills.Load() }
-
 // Points returns every distinct (kind, operator) interception point
 // observed in census mode, each with its first call index, ordered by
 // kind then operator.

@@ -13,8 +13,8 @@ import (
 
 // FaultFS is an in-memory vfs.FS with a deterministic crash model, the
 // filesystem counterpart of the executor hooks above and driven by the
-// same census-then-strike protocol: run a save/commit sequence once in
-// record mode to census its FS operations, then re-run it once per
+// same census-then-strike protocol: run a save/commit sequence once
+// unarmed to census its FS operations (OpCount), then re-run it once per
 // operation with a crash armed there, reboot, and assert recovery.
 //
 // Crash model (deliberately adversarial, deterministically so):
@@ -41,23 +41,12 @@ type FaultFS struct {
 	ops     int64
 	crashAt int64 // 0 = disarmed
 	crashed bool
-	record  bool
-	log     []FSOp
 }
 
 type memFile struct {
 	data   []byte // current (volatile) content
 	synced []byte // content guaranteed to survive a LoseUnsynced reboot
 }
-
-// FSOp is one filesystem operation observed during a census run.
-type FSOp struct {
-	N    int64  // 1-based operation index
-	Kind string // create | write | sync | syncdir | rename | remove
-	Path string
-}
-
-func (o FSOp) String() string { return fmt.Sprintf("fs:%s#%d@%s", o.Kind, o.N, o.Path) }
 
 // RebootMode selects what a simulated reboot preserves.
 type RebootMode int
@@ -75,19 +64,8 @@ func NewFaultFS() *FaultFS {
 	return &FaultFS{files: make(map[string]*memFile), dirs: make(map[string]bool)}
 }
 
-// RecordOps switches the filesystem into census mode: every operation is
-// logged, retrievable via Ops. Returns the filesystem for chaining.
-func (f *FaultFS) RecordOps() *FaultFS { f.record = true; return f }
-
 // CrashAt arms a crash at the n-th operation (1-based).
 func (f *FaultFS) CrashAt(n int64) *FaultFS { f.crashAt = n; return f }
-
-// Ops returns the operations observed in census mode, in order.
-func (f *FaultFS) Ops() []FSOp {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]FSOp(nil), f.log...)
-}
 
 // OpCount returns how many operations have run.
 func (f *FaultFS) OpCount() int64 {
@@ -129,9 +107,6 @@ func (f *FaultFS) step(kind, path string) (strike bool, err error) {
 		return false, fmt.Errorf("%w: filesystem crashed (%s %s)", ErrInjected, kind, path)
 	}
 	f.ops++
-	if f.record {
-		f.log = append(f.log, FSOp{N: f.ops, Kind: kind, Path: path})
-	}
 	if f.crashAt != 0 && f.ops == f.crashAt {
 		f.crashed = true
 		return true, nil

@@ -180,7 +180,7 @@ func crashPointMatrix(t *testing.T, format csvio.Format) {
 	states := committedStates(t)
 
 	// Census: run the workload once, unarmed, to count its FS operations.
-	census := setup(t, format).RecordOps()
+	census := setup(t, format)
 	base := census.OpCount()
 	if acked, err := workload(census, format); err != nil || acked != len(batches) {
 		t.Fatalf("census run failed: acked=%d err=%v", acked, err)

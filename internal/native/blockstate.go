@@ -159,6 +159,3 @@ func (e *Executor) collectProbes(b *sql.Block) []probe {
 	}
 	return probes
 }
-
-// DropBlockCache invalidates cached block states (after index changes).
-func (e *Executor) DropBlockCache() { e.blocks = nil }

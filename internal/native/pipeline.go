@@ -29,7 +29,7 @@ func Execute(q *sql.Query) (*relation.Relation, error) {
 
 // reduceBlock materialises σ_{θ_i}(R_i): the block's tables joined on
 // their local predicates, keeping all columns. Single-table blocks run as
-// one pipelined scan+filter pass.
+// one scan+filter pass (exec.Reduce).
 func (e *Executor) reduceBlock(b *sql.Block) (*relation.Relation, error) {
 	if len(b.Tables) == 1 {
 		bt := b.Tables[0]
@@ -39,7 +39,7 @@ func (e *Executor) reduceBlock(b *sql.Block) (*relation.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exec.Drain(exec.Background(), exec.NewFilter(exec.NewScan(base), local))
+		return exec.Reduce(exec.Background(), base, local, nil)
 	}
 	var rel *relation.Relation
 	for ti, bt := range b.Tables {

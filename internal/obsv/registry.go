@@ -126,9 +126,6 @@ func (r *Registry) ObserveQError(q float64) {
 	r.qerr.Note(q)
 }
 
-// QErrors exposes the registry's q-error histogram (read-only use).
-func (r *Registry) QErrors() *stats.QErrorHist { return &r.qerr }
-
 // RegisterGauge adds a named callback metric to the registry: fn is
 // polled on every Snapshot / MetricsText and its value exported as
 // "nra_<name>". fn must be safe for concurrent use and must not call

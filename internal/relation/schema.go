@@ -149,9 +149,6 @@ func (s *Schema) ColNames() []string {
 	return names
 }
 
-// HasCol reports whether an atomic column resolves to name.
-func (s *Schema) HasCol(name string) bool { return s.ColIndex(name) >= 0 }
-
 // Clone returns a deep copy of the schema (shared nothing, so operators can
 // rename columns without aliasing surprises).
 func (s *Schema) Clone() *Schema {

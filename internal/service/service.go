@@ -435,9 +435,6 @@ func renderResult(res *nra.Result, epoch uint64) Response {
 	return Response{OK: true, Columns: res.Columns(), Rows: rows, Epoch: epoch}
 }
 
-// Draining reports whether the server has stopped admitting statements.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain shuts the server down gracefully: stop admitting statements,
 // give in-flight ones DrainGrace to finish, cancel the stragglers
 // through their execution contexts, wait for the last to unwind, close

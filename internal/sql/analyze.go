@@ -109,9 +109,6 @@ func (b *Block) Agg() (AggInfo, bool) {
 	return AggInfo{}, false
 }
 
-// Correlated reports whether the block references any enclosing block.
-func (b *Block) Correlated() bool { return len(b.Corr) > 0 }
-
 // LinkedAttr returns the child-side linked attribute (the single SELECT
 // item of a quantified/IN subquery), as a resolved qualified name.
 // It errors when the select list is not a single plain column.

@@ -311,48 +311,6 @@ func CmpInt64AsFloat64Const(verb CmpVerb, data []int64, c float64, out []uint64)
 	}
 }
 
-// CmpStringConst is CmpInt64Const over string payloads.
-func CmpStringConst(verb CmpVerb, data []string, c string, out []uint64) {
-	switch verb {
-	case VerbEq:
-		for i, d := range data {
-			if d == c {
-				setBit(out, i)
-			}
-		}
-	case VerbNe:
-		for i, d := range data {
-			if d != c {
-				setBit(out, i)
-			}
-		}
-	case VerbLt:
-		for i, d := range data {
-			if d < c {
-				setBit(out, i)
-			}
-		}
-	case VerbLe:
-		for i, d := range data {
-			if d <= c {
-				setBit(out, i)
-			}
-		}
-	case VerbGt:
-		for i, d := range data {
-			if d > c {
-				setBit(out, i)
-			}
-		}
-	case VerbGe:
-		for i, d := range data {
-			if d >= c {
-				setBit(out, i)
-			}
-		}
-	}
-}
-
 // CmpInt64s is the column-against-column form of CmpInt64Const.
 func CmpInt64s(verb CmpVerb, a, b []int64, out []uint64) {
 	for i := range a {
@@ -364,15 +322,6 @@ func CmpInt64s(verb CmpVerb, a, b []int64, out []uint64) {
 
 // CmpFloat64s is the column-against-column form of CmpFloat64Const.
 func CmpFloat64s(verb CmpVerb, a, b []float64, out []uint64) {
-	for i := range a {
-		if verb.Holds(cmpOrdered(a[i], b[i])) {
-			setBit(out, i)
-		}
-	}
-}
-
-// CmpStrings is the column-against-column form of CmpStringConst.
-func CmpStrings(verb CmpVerb, a, b []string, out []uint64) {
 	for i := range a {
 		if verb.Holds(cmpOrdered(a[i], b[i])) {
 			setBit(out, i)

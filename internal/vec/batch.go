@@ -162,28 +162,6 @@ func (b *Batch) Rows() int {
 	return b.End - b.Start
 }
 
-// ForEachRow calls fn with each selected absolute row index, in order.
-func (b *Batch) ForEachRow(fn func(i int)) {
-	if b.Sel != nil {
-		for _, s := range b.Sel {
-			fn(int(s))
-		}
-		return
-	}
-	for i := b.Start; i < b.End; i++ {
-		fn(i)
-	}
-}
-
-// AppendTuple materializes absolute row i as a relation tuple.
-func (b *Batch) AppendTuple(rel *relation.Relation, i int) {
-	atoms := make([]value.Value, len(b.Cols))
-	for c, v := range b.Cols {
-		atoms[c] = v.Value(i)
-	}
-	rel.Append(relation.Tuple{Atoms: atoms})
-}
-
 // ToRelation materializes the selected window rows back into a
 // relation, preserving order. The atoms of all rows share one backing
 // array — one allocation instead of one per row — and the fill is

@@ -180,31 +180,10 @@ func (v *Vector) Value(i int) value.Value {
 	return value.Null
 }
 
-// IdenticalAt reports value.Identical between a's row i and b's row j,
-// taking the typed fast path when both sides share a payload kind.
-func IdenticalAt(a *Vector, i int, b *Vector, j int) bool {
-	an, bn := a.IsNull(i), b.IsNull(j)
-	if an || bn {
-		return an && bn
-	}
-	if a.Kind == b.Kind {
-		switch a.Kind {
-		case value.KindInt, value.KindBool:
-			return a.Ints[i] == b.Ints[j]
-		case value.KindFloat:
-			af, bf := a.Floats[i], b.Floats[j]
-			return af == bf || (math.IsNaN(af) && math.IsNaN(bf))
-		case value.KindString:
-			return a.Dict[a.Codes[i]] == b.Dict[b.Codes[j]]
-		}
-	}
-	return value.Identical(a.Value(i), b.Value(j))
-}
-
 // KeyEqualAt reports whether a's row i and b's row j have equal
 // value.AppendKey encodings — the equality the row engine's KeyOn-keyed
-// hash tables and group detection use. It coincides with IdenticalAt on
-// everything but NaN payloads, where the canonical encoding compares
+// hash tables and group detection use. It coincides with value.Identical
+// on everything but NaN payloads, where the canonical encoding compares
 // IEEE bit patterns, and the extreme int64/float boundary, where the
 // integral-float widening of the encoding is authoritative.
 func KeyEqualAt(a *Vector, i int, b *Vector, j int) bool {

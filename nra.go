@@ -84,7 +84,7 @@ type DB struct {
 	slowThreshold time.Duration
 
 	// planCache, when non-nil, caches analyzed statements keyed on
-	// normalized AST + snapshot epoch (see SetPlanCache).
+	// normalized AST, for the newest snapshot epoch (see SetPlanCache).
 	planCache *PlanCache
 
 	// format selects the on-disk table representation Save writes
@@ -562,12 +562,6 @@ type Strategy struct {
 	kind  int
 	opts  core.Options
 	trace bool
-}
-
-// withTrace returns a copy with the tracing flag set.
-func (s Strategy) withTrace(on bool) Strategy {
-	s.trace = on
-	return s
 }
 
 // resolve returns the strategy that runs q. Auto runs the nested plan

@@ -10,12 +10,16 @@ import (
 )
 
 // PlanCache is a shared LRU cache of analyzed statements, keyed on the
-// statement's *normalized* AST rendering plus the snapshot epoch it was
-// bound against. Analysis — parsing, block decomposition, name
-// resolution — is the dominant fixed cost of short queries, and the
-// epoch key makes invalidation exact: any committed mutation (DML, DDL,
-// ANALYZE) bumps the epoch, so a cached binding is reused if and only if
-// the catalog version it resolved against is still current. Textual
+// statement's *normalized* AST rendering and holding only bindings for
+// the newest snapshot epoch it has seen. Analysis — parsing, block
+// decomposition, name resolution — is the dominant fixed cost of short
+// queries, and epoch tracking makes invalidation exact: any committed
+// mutation (DML, DDL, ANALYZE) bumps the epoch, so a cached binding is
+// reused if and only if the catalog version it resolved against is
+// still current. The first lookup or insert at a newer epoch drops
+// every entry, so a cached binding never pins a superseded
+// copy-on-write table version; a lookup at an older epoch (a session
+// pinned to an earlier snapshot) misses and caches nothing. Textual
 // variants that parse to the same AST ("select  X from t" vs
 // "SELECT x FROM t") share one entry.
 //
@@ -29,16 +33,16 @@ type PlanCache struct {
 	cap     int
 	lru     *list.List // front = most recently used; values are *planEntry
 	entries map[string]*list.Element
+	epoch   uint64 // the newest epoch seen; every entry is bound against it
 
 	hits, misses, invalidations, evictions uint64
 }
 
-// planEntry is one cached binding: the normalized key, the epoch it was
-// analyzed against, and the analyzed statement.
+// planEntry is one cached binding: the normalized key and the analyzed
+// statement.
 type planEntry struct {
-	key   string
-	epoch uint64
-	st    *sql.Statement
+	key string
+	st  *sql.Statement
 }
 
 // NewPlanCache returns a cache holding at most capacity analyzed
@@ -54,11 +58,14 @@ func NewPlanCache(capacity int) *PlanCache {
 type PlanCacheStats struct {
 	// Hits counts lookups answered from the cache at the current epoch.
 	Hits uint64
-	// Misses counts lookups with no entry for the normalized AST.
+	// Misses counts lookups with no entry for the normalized AST,
+	// including every lookup at an epoch older than the cache's.
 	Misses uint64
-	// Invalidations counts lookups that found an entry bound against an
-	// older epoch — stale after DML/DDL/ANALYZE — which was discarded
-	// and re-analyzed.
+	// Invalidations counts lookups at an epoch newer than the cache's
+	// that found it non-empty: each dropped every cached statement (all
+	// bound against the superseded epoch — stale after DML/DDL/ANALYZE)
+	// and re-analyzed. Every lookup is exactly one hit, miss or
+	// invalidation.
 	Invalidations uint64
 	// Evictions counts entries dropped by LRU capacity pressure.
 	Evictions uint64
@@ -82,40 +89,57 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
+// advance moves the cache to epoch when it is newer than the cache's,
+// dropping every entry, and reports how many it dropped and whether
+// epoch is now the cache's (false: epoch is older). Callers hold c.mu.
+func (c *PlanCache) advance(epoch uint64) (dropped int, current bool) {
+	if epoch < c.epoch {
+		return 0, false
+	}
+	if epoch > c.epoch {
+		dropped = c.lru.Len()
+		c.lru.Init()
+		clear(c.entries)
+		c.epoch = epoch
+	}
+	return dropped, true
+}
+
 // lookup returns the cached statement for (key, epoch), recording a hit,
-// miss, or invalidation. A stale entry is removed so the follow-up
-// insert replaces it.
+// miss, or invalidation.
 func (c *PlanCache) lookup(key string, epoch uint64) (*sql.Statement, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	dropped, current := c.advance(epoch)
 	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*planEntry)
-	if e.epoch != epoch {
+	switch {
+	case dropped > 0:
 		c.invalidations++
-		c.lru.Remove(el)
-		delete(c.entries, key)
+		return nil, false
+	case !current || !ok:
+		c.misses++
 		return nil, false
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
-	return e.st, true
+	return el.Value.(*planEntry).st, true
 }
 
 // insert caches a freshly analyzed statement, evicting from the LRU tail
-// when over capacity.
+// when over capacity. A statement bound against an epoch older than the
+// cache's is not cached.
 func (c *PlanCache) insert(key string, epoch uint64, st *sql.Statement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, current := c.advance(epoch); !current {
+		return
+	}
 	if el, ok := c.entries[key]; ok {
-		el.Value = &planEntry{key: key, epoch: epoch, st: st}
+		el.Value = &planEntry{key: key, st: st}
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&planEntry{key: key, epoch: epoch, st: st})
+	c.entries[key] = c.lru.PushFront(&planEntry{key: key, st: st})
 	for c.lru.Len() > c.cap {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)
@@ -125,9 +149,10 @@ func (c *PlanCache) insert(key string, epoch uint64, st *sql.Statement) {
 }
 
 // SetPlanCache installs a shared plan cache on the database: Query,
-// Snap.Query, prepared statements and DML target selection all consult
-// it before re-analyzing. pc may be shared across any number of DBs and
-// sessions; nil removes the cache. Not synchronised with in-flight
+// Snap.Query and prepared statements consult it before re-analyzing.
+// pc may be shared by any number of the database's sessions, but not
+// across databases: it tracks one database's epochs. nil removes the
+// cache. Not synchronised with in-flight
 // queries — install at session setup.
 func (db *DB) SetPlanCache(pc *PlanCache) { db.planCache = pc }
 

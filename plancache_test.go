@@ -106,3 +106,35 @@ func TestPlanCacheSharedWithPreparedAndSnapshots(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 hits / 1 miss", st)
 	}
 }
+
+// TestPlanCacheDropsSupersededEpochs pins that the cache holds bindings
+// for the newest epoch only: a committed mutation followed by one query
+// leaves exactly that query cached, so no stale binding keeps a
+// superseded table version alive until LRU pressure evicts it.
+func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
+	db, pc := newCacheDB(t, 8)
+	for _, q := range []string{
+		"select id from emp",
+		"select dept from emp",
+		"select salary from emp",
+	} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := db.Snapshot()
+	db.MustExec("insert into emp values (4, 20, 200)")
+	if _, err := db.Query("select id from emp"); err != nil {
+		t.Fatal(err)
+	}
+	if st := pc.Stats(); st.Entries != 1 || st.Invalidations != 1 {
+		t.Fatalf("after DML + one query: stats = %+v, want 1 entry / 1 invalidation", st)
+	}
+	// A session pinned to the older epoch misses and caches nothing.
+	if _, err := pinned.Query("select dept from emp"); err != nil {
+		t.Fatal(err)
+	}
+	if st := pc.Stats(); st.Entries != 1 || st.Misses != 4 {
+		t.Fatalf("after pinned query: stats = %+v, want 1 entry / 4 misses", st)
+	}
+}
